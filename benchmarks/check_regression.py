@@ -80,6 +80,12 @@ GATES: List[Gate] = [
     Gate("distributed_serve", "served_fps_1_worker", better="higher"),
     Gate("distributed_serve", "served_fps_max_workers", better="higher"),
     Gate("distributed_serve", "speedup_at_max_workers", better="higher"),
+    # quantized_scaling: the two array backends' whole-batch decode
+    # rates; the smoke code is a different workload, so full-vs-full.
+    Gate("quantized_scaling", "throughput.backends.numpy.frames_per_sec",
+         better="higher"),
+    Gate("quantized_scaling",
+         "throughput.backends.cnative.frames_per_sec", better="higher"),
     # pipeline_overlap: the pipelined pump must stay invisible in the
     # decoded bits and exact in its books at every depth (absolute,
     # every run); the overlap speedup and absolute rates are only

@@ -63,8 +63,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     for name, (kind, reason) in backend_status().items():
         status = "available" if reason is None else f"unavailable ({reason})"
         print(f"  {name:<12} {kind:<7} {status}")
-    print("(alias 'compiled' resolves to the first available of "
-          "numba, cnative)")
     return 0
 
 
@@ -152,7 +150,7 @@ def _build_sim_code(args: argparse.Namespace):
 
 
 def _cmd_ber(args: argparse.Namespace) -> int:
-    from .sim import fast_ber, parallel_ber
+    from .sim import parallel_ber
 
     code = _build_sim_code(args)
     fmt = _resolve_fmt(args)
@@ -171,56 +169,31 @@ def _cmd_ber(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    adaptive = (
-        args.target_frame_errors is not None
-        or args.ci_halfwidth is not None
-    )
-    observed = args.trace is not None or args.metrics_out is not None
     spec = _channel_spec_from_args(args)
-    telemetry = None
-    metrics = None
-    if (
-        args.workers != 1
-        or adaptive
-        or args.schedule != "flooding"
-        or observed
-    ):
-        trace = _open_trace(args.trace) if args.trace is not None else None
-        try:
-            run = parallel_ber(
-                code,
-                args.ebn0,
-                max_frames=args.frames,
-                workers=args.workers,
-                target_frame_errors=args.target_frame_errors,
-                ci_halfwidth=args.ci_halfwidth,
-                max_iterations=args.iterations,
-                schedule=args.schedule,
-                fmt=fmt,
-                channel_scale=args.channel_scale,
-                backend=args.backend,
-                seed=args.seed,
-                channel=spec,
-                trace=trace,
-            )
-        finally:
-            if trace is not None:
-                trace.close()
-        result, telemetry = run.result, run.telemetry
-        metrics = run.metrics
-    else:
-        result = fast_ber(
+    trace = _open_trace(args.trace) if args.trace is not None else None
+    try:
+        run = parallel_ber(
             code,
-            ebn0_db=args.ebn0,
-            frames=args.frames,
+            args.ebn0,
+            max_frames=args.frames,
+            workers=args.workers,
+            target_frame_errors=args.target_frame_errors,
+            ci_halfwidth=args.ci_halfwidth,
             max_iterations=args.iterations,
+            schedule=args.schedule,
+            fmt=fmt,
+            channel_scale=args.channel_scale,
+            backend=args.backend,
             seed=args.seed,
-            channel=_channel_from_args(
-                args, code, args.ebn0, args.seed
-            ),
+            channel=spec,
+            trace=trace,
         )
-    if args.metrics_out is not None and metrics is not None:
-        _write_metrics(args.metrics_out, metrics)
+    finally:
+        if trace is not None:
+            trace.close()
+    result, telemetry = run.result, run.telemetry
+    if args.metrics_out is not None:
+        _write_metrics(args.metrics_out, run.metrics)
     lo, hi = result.ber_estimate.interval
     scenario = (
         f", {args.modulation}/{args.channel}"
@@ -244,13 +217,12 @@ def _cmd_ber(args: argparse.Namespace) -> int:
     if result.non_converged_frames:
         print(f"  non-converged   : {result.non_converged_frames}"
               f"/{result.frames} (at full iteration budget)")
-    if telemetry is not None:
-        print(f"  workers         : {telemetry.workers}")
-        print(f"  throughput      : {telemetry.frames_per_sec:.1f} "
-              f"frames/s ({telemetry.info_mbps:.3f} info Mbit/s)")
+    print(f"  workers         : {telemetry.workers}")
+    print(f"  throughput      : {telemetry.frames_per_sec:.1f} "
+          f"frames/s ({telemetry.info_mbps:.3f} info Mbit/s)")
     if args.trace is not None and args.trace != "-":
         print(f"  trace           : {args.trace}")
-    if args.metrics_out is not None and metrics is not None:
+    if args.metrics_out is not None:
         print(f"  metrics         : {args.metrics_out}")
     return 0
 
@@ -1097,10 +1069,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(hardware input conditioning; 0.5 keeps 2 dB "
                         "LLRs inside the 6-bit range)")
     p.add_argument("--backend", default=None,
-                   help="array backend for the quantized-* schedules "
-                        "(numpy, compiled, cnative, numba, ...; "
-                        "see 'repro backends'; results are "
-                        "bit-identical across backends)")
+                   help="array backend for the quantized-* schedules: "
+                        "numpy (default, the reference) or cnative "
+                        "(compiled C kernels; see 'repro backends'); "
+                        "results are bit-identical across backends")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write a JSONL trace with per-iteration "
                         "convergence records ('-' for stdout)")
@@ -1166,7 +1138,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--channel-scale", type=float, default=1.0)
         p.add_argument("--backend", default=None,
                        help="array backend for the quantized-* "
-                            "schedules (see 'repro backends')")
+                            "schedules: numpy (default) or cnative "
+                            "(see 'repro backends')")
         p.add_argument("--workers", type=int, default=1,
                        help="decode batches on a persistent process "
                             "pool (order stays deterministic)")

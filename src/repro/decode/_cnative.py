@@ -59,13 +59,8 @@ def _compile() -> tuple:
     lib_path = os.path.join(build_dir, "zigzag_kernels" + suffix)
     base = [cc, "-O3", "-fPIC", "-shared", _SOURCE, "-o", lib_path]
     # -march=native maximises the vectorized inner loops but is not
-    # universally supported; retry plain if it is rejected.  OpenMP is
-    # likewise best-effort (frames decode independently).
-    attempts = (
-        base[:1] + ["-march=native", "-fopenmp"] + base[1:],
-        base[:1] + ["-march=native"] + base[1:],
-        base,
-    )
+    # universally supported; retry plain if it is rejected.
+    attempts = (base[:1] + ["-march=native"] + base[1:], base)
     err = ""
     for cmd in attempts:
         proc = subprocess.run(

@@ -16,6 +16,13 @@
  * pointers; without that the compiler gives up on the alias run-time
  * checks and leaves the lane loops scalar.
  *
+ * Every routine runs on the calling thread.  Parallelism comes from the
+ * worker processes above it (the Monte-Carlo shards, the serve pool and
+ * the fabric all fork), never from threads in here: a threaded runtime
+ * started before a fork leaves the child waiting on helper threads it
+ * does not have, and the serve and shard batches are at most one block
+ * of LANES frames anyway.
+ *
  * Two more tricks keep the hot loops narrow:
  *   - magnitude normalization floor(alpha*m) is an exact
  *     multiply-shift (the caller verifies (mult*m)>>shift reproduces
@@ -37,10 +44,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 /* Frames per SIMD block: 32 int8 lanes = one 256-bit vector. */
 #define LANES 32
@@ -69,11 +72,7 @@ void segment_min_scan(
     int8_t *min2,           /* (m, n_segs) out */
     int64_t *argmin)        /* (m, n_segs) out, global positions */
 {
-    int64_t f;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (f = 0; f < m; f++) {
+    for (int64_t f = 0; f < m; f++) {
         const int8_t *row = mags + f * n_edges;
         int8_t *m1 = min1 + f * n_segs;
         int8_t *m2 = min2 + f * n_segs;
@@ -113,11 +112,7 @@ void zigzag_forward_scan(
     uint8_t *a_neg)            /* (m, n_par) out */
 {
     const int64_t q = n_par / seg;
-    int64_t fr;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (fr = 0; fr < m; fr++) {
+    for (int64_t fr = 0; fr < m; fr++) {
         const int8_t *n1r = n1 + fr * n_par;
         const uint8_t *pr = parity_neg + fr * n_par;
         const int8_t *chr_ = ch_pn + fr * n_par;
@@ -557,145 +552,132 @@ void zigzag_decode(
     const int32_t nm = (int32_t)mult;
     const int sh = (int)shift;
     const int imi = (int)mi;
-    int fail = 0;
-    int64_t blk;
+    workspace w;
+    const int have_ws = ws_alloc(&w, k, n_par, e_in);
 
-#ifdef _OPENMP
-#pragma omp parallel
-#endif
-    {
-        workspace w;
-        int ok_mem = ws_alloc(&w, k, n_par, e_in);
-        if (!ok_mem) {
-#ifdef _OPENMP
-#pragma omp atomic write
-#endif
-            fail = 1;
-        }
+    for (int64_t blk = 0; blk < n_blocks; blk++) {
+        /* Tested here, not by an early return before the loop: GCC 12
+         * at -O3 spends ~0.5 s more in induction-variable optimization
+         * on the early-return form, and the lazy build is paid by
+         * every fresh process. */
+        if (!have_ws) break;
+        const int64_t f0 = blk * LANES;
+        uint8_t done[LANES];
+        int64_t bud[LANES];
+        int64_t blockmax = 0;
+        int alive = 0;
 
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-        for (blk = 0; blk < n_blocks; blk++) {
-            if (fail) continue;
-            const int64_t f0 = blk * LANES;
-            uint8_t done[LANES];
-            int64_t bud[LANES];
-            int64_t blockmax = 0;
-            int alive = 0;
-
-            /* Lane-minor transposes; dead lanes duplicate frame f0
-             * (valid data, never extracted). */
-            for (int f = 0; f < LANES; f++) {
-                int64_t src = f0 + f < frames ? f0 + f : f0;
-                const int16_t *ci = ch_in + src * k;
-                const int8_t *cp = ch_pn + src * n_par;
-                for (int64_t v = 0; v < k; v++) {
-                    w.chi[v * LANES + f] = ci[v];
-                    w.posts[v * LANES + f] = ci[v];
-                    w.posts8[v * LANES + f] =
-                        (int8_t)clip_i(ci[v], 2 * imi);
-                }
-                for (int64_t c = 0; c < n_par; c++) {
-                    w.chp[c * LANES + f] = cp[c];
-                    w.pb[c * LANES + f] = cp[c] < 0;
-                }
-                if (f0 + f < frames) {
-                    done[f] = 0;
-                    bud[f] = budgets[f0 + f];
-                    if (bud[f] > blockmax) blockmax = bud[f];
-                    iterations[f0 + f] = 0;
-                    converged[f0 + f] = 0;
-                    alive++;
-                } else {
-                    done[f] = 1;
-                    bud[f] = 0;
-                }
+        /* Lane-minor transposes; dead lanes duplicate frame f0
+         * (valid data, never extracted). */
+        for (int f = 0; f < LANES; f++) {
+            int64_t src = f0 + f < frames ? f0 + f : f0;
+            const int16_t *ci = ch_in + src * k;
+            const int8_t *cp = ch_pn + src * n_par;
+            for (int64_t v = 0; v < k; v++) {
+                w.chi[v * LANES + f] = ci[v];
+                w.posts[v * LANES + f] = ci[v];
+                w.posts8[v * LANES + f] =
+                    (int8_t)clip_i(ci[v], 2 * imi);
             }
-            memset(w.c2v, 0, (size_t)(e_in * LANES));
-            memset(w.f_a, 0, (size_t)(n_par * LANES));
-            memset(w.b_old, 0, (size_t)((n_par + 1) * LANES));
-            int8_t *f_old = w.f_a, *f_new = w.f_b;
+            for (int64_t c = 0; c < n_par; c++) {
+                w.chp[c * LANES + f] = cp[c];
+                w.pb[c * LANES + f] = cp[c] < 0;
+            }
+            if (f0 + f < frames) {
+                done[f] = 0;
+                bud[f] = budgets[f0 + f];
+                if (bud[f] > blockmax) blockmax = bud[f];
+                iterations[f0 + f] = 0;
+                converged[f0 + f] = 0;
+                alive++;
+            } else {
+                done[f] = 1;
+                bud[f] = 0;
+            }
+        }
+        memset(w.c2v, 0, (size_t)(e_in * LANES));
+        memset(w.f_a, 0, (size_t)(n_par * LANES));
+        memset(w.b_old, 0, (size_t)((n_par + 1) * LANES));
+        int8_t *f_old = w.f_a, *f_new = w.f_b;
 
-            for (int64_t it = 1; alive && it <= blockmax + 1; it++) {
-                /* Pass A: VN phase fused with the check min scan and
-                 * the IRA syndrome of the *previous* decision. */
-                vn_pass_first(in_vn, w.posts8, w.c2v, w.min1,
-                              w.min2, w.am, w.par, w.synd, w.pb,
-                              n_par, imi);
-                for (int t = 1; t < (int)width; t++)
-                    vn_pass_slab(in_vn + (int64_t)t * n_par, w.posts8,
-                                 w.c2v + (int64_t)t * n_par * LANES,
-                                 w.min1, w.min2, w.am, w.par, w.synd,
-                                 n_par, imi, t);
+        for (int64_t it = 1; alive && it <= blockmax + 1; it++) {
+            /* Pass A: VN phase fused with the check min scan and
+             * the IRA syndrome of the *previous* decision. */
+            vn_pass_first(in_vn, w.posts8, w.c2v, w.min1,
+                          w.min2, w.am, w.par, w.synd, w.pb,
+                          n_par, imi);
+            for (int t = 1; t < (int)width; t++)
+                vn_pass_slab(in_vn + (int64_t)t * n_par, w.posts8,
+                             w.c2v + (int64_t)t * n_par * LANES,
+                             w.min1, w.min2, w.am, w.par, w.synd,
+                             n_par, imi, t);
 
-                /* Lane bookkeeping: converged lanes first (the golden
-                 * model's in-loop check), then exhausted budgets. */
-                if (early_stop) {
-                    uint8_t bad[LANES];
-                    synd_reduce(w.synd, n_par, bad);
-                    for (int f = 0; f < LANES; f++) {
-                        if (!done[f] && !bad[f]) {
-                            extract_lane(&w, f, k, n_par,
-                                         bits + (f0 + f) * n);
-                            iterations[f0 + f] = it - 1;
-                            converged[f0 + f] = 1;
-                            done[f] = 1;
-                            alive--;
-                        }
-                    }
-                }
+            /* Lane bookkeeping: converged lanes first (the golden
+             * model's in-loop check), then exhausted budgets. */
+            if (early_stop) {
+                uint8_t bad[LANES];
+                synd_reduce(w.synd, n_par, bad);
                 for (int f = 0; f < LANES; f++) {
-                    if (!done[f] && it > bud[f]) {
+                    if (!done[f] && !bad[f]) {
                         extract_lane(&w, f, k, n_par,
                                      bits + (f0 + f) * n);
-                        iterations[f0 + f] = bud[f];
+                        iterations[f0 + f] = it - 1;
+                        converged[f0 + f] = 1;
                         done[f] = 1;
                         alive--;
                     }
                 }
-                if (!alive) break;
-
-                chain_inputs(w.chp, w.b_old, w.min1, w.cneg, w.cl,
-                             w.n1, n_par, imi, nm, sh);
-                forward_scan_blk(w.n1, w.par, w.chp, f_old, f_new,
-                                 w.anorm, w.aneg, n_par, seg, imi,
-                                 nm, sh);
-                backward_outputs(w.n1, w.cl, w.min2, w.anorm, w.par,
-                                 w.cneg, w.aneg, w.b, w.lo1, w.lo2,
-                                 w.chain, n_par, nm, sh);
-
-                memcpy(w.posts, w.chi,
-                       (size_t)(k * LANES) * sizeof(int16_t));
-                for (int t = 0; t < (int)width; t++)
-                    output_pass_slab(
-                        in_vn + (int64_t)t * n_par, w.posts8,
-                        w.c2v + (int64_t)t * n_par * LANES,
-                        w.lo1, w.lo2, w.am, w.chain, w.posts,
-                        n_par, t);
-                clip_posts(w.posts, w.posts8, k, 2 * imi);
-
-                parity_decisions(w.chp, f_new, w.b, w.pb, n_par);
-                memcpy(w.b_old + LANES, w.b + LANES,
-                       (size_t)((n_par - 1) * LANES));
-                memset(w.b_old, 0, LANES);
-                memset(w.b_old + n_par * LANES, 0, LANES);
-                { int8_t *tmp = f_old; f_old = f_new; f_new = tmp; }
-                for (int f = 0; f < LANES; f++)
-                    if (!done[f]) iterations[f0 + f] = it;
             }
+            for (int f = 0; f < LANES; f++) {
+                if (!done[f] && it > bud[f]) {
+                    extract_lane(&w, f, k, n_par,
+                                 bits + (f0 + f) * n);
+                    iterations[f0 + f] = bud[f];
+                    done[f] = 1;
+                    alive--;
+                }
+            }
+            if (!alive) break;
 
-            /* Lanes that ran out of the block loop without an early
-             * stop (early_stop == 0 budgets) extract their final
-             * decisions here. */
+            chain_inputs(w.chp, w.b_old, w.min1, w.cneg, w.cl,
+                         w.n1, n_par, imi, nm, sh);
+            forward_scan_blk(w.n1, w.par, w.chp, f_old, f_new,
+                             w.anorm, w.aneg, n_par, seg, imi,
+                             nm, sh);
+            backward_outputs(w.n1, w.cl, w.min2, w.anorm, w.par,
+                             w.cneg, w.aneg, w.b, w.lo1, w.lo2,
+                             w.chain, n_par, nm, sh);
+
+            memcpy(w.posts, w.chi,
+                   (size_t)(k * LANES) * sizeof(int16_t));
+            for (int t = 0; t < (int)width; t++)
+                output_pass_slab(
+                    in_vn + (int64_t)t * n_par, w.posts8,
+                    w.c2v + (int64_t)t * n_par * LANES,
+                    w.lo1, w.lo2, w.am, w.chain, w.posts,
+                    n_par, t);
+            clip_posts(w.posts, w.posts8, k, 2 * imi);
+
+            parity_decisions(w.chp, f_new, w.b, w.pb, n_par);
+            memcpy(w.b_old + LANES, w.b + LANES,
+                   (size_t)((n_par - 1) * LANES));
+            memset(w.b_old, 0, LANES);
+            memset(w.b_old + n_par * LANES, 0, LANES);
+            { int8_t *tmp = f_old; f_old = f_new; f_new = tmp; }
             for (int f = 0; f < LANES; f++)
-                if (!done[f])
-                    extract_lane(&w, f, k, n_par, bits + (f0 + f) * n);
+                if (!done[f]) iterations[f0 + f] = it;
         }
 
-        if (ok_mem) free(w.base);
+        /* Lanes that ran out of the block loop without an early
+         * stop (early_stop == 0 budgets) extract their final
+         * decisions here. */
+        for (int f = 0; f < LANES; f++)
+            if (!done[f])
+                extract_lane(&w, f, k, n_par, bits + (f0 + f) * n);
     }
 
-    if (fail)
-        for (blk = 0; blk < frames; blk++) iterations[blk] = -1;
+    if (have_ws)
+        free(w.base);
+    else
+        for (int64_t f = 0; f < frames; f++) iterations[f] = -1;
 }

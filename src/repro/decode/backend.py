@@ -1,14 +1,12 @@
-"""Pluggable array backends for the batched fixed-point decoders.
+"""Array backends for the batched fixed-point decoders.
 
 The paper's partly-parallel core gets its throughput from mapping the
 min-sum/zigzag update onto wide parallel functional units; the software
 analogue — the ``(frames, edges)`` vectorized engines in
-:mod:`repro.decode.batch_quantized` — is written against the small seam
-defined here instead of being hard-wired to numpy.  A backend exposes
-the primitives the decoders actually use:
+:mod:`repro.decode.batch_quantized` — runs its dominant kernels through
+the small seam defined here:
 
 * a named scratch arena (:meth:`ArrayBackend.buf`),
-* gathers, LUT application and branchless blends,
 * segment sums and fused segment ``(min1, min2, argmin)``
   (the two ``reduceat`` shapes of the check phase),
 * the serial-dependency t-major forward chain scan
@@ -17,46 +15,38 @@ the primitives the decoders actually use:
   (:meth:`ArrayBackend.fused_zigzag_plan` /
   :meth:`ArrayBackend.fused_zigzag_decode`).
 
-Shipped backends:
+Two backends ship:
 
 ``numpy``
-    The default.  Bit-identical to the historical implementation by
-    construction — the decoders' own vectorized numpy loops *are* this
-    backend's implementation; it never overrides a kernel hook.
+    The default and the reference.  Bit-identical to the historical
+    implementation by construction — the decoders' own vectorized numpy
+    loops *are* this backend's implementation; it never overrides a
+    kernel hook.
 ``cnative``
     Compiled C kernels (:mod:`repro.decode._cnative`), built lazily from
     ``_zigzag_kernels.c`` with the system compiler.  Provides the fused
     min1/min2/argmin sweep, the compiled forward scan, and a fused
     whole-batch zigzag decode.  Unavailable (with a captured reason)
     when no working C compiler exists.
-``numba``
-    ``numba.njit(parallel=True)`` twins of the same two kernels
-    (:mod:`repro.decode._numba_kernels`).  Import-guarded: without
-    numba installed the backend reports itself unavailable and the
-    undecorated python twins remain unit-testable.
-``cupy``
-    Device backend driving the zigzag decoder's device decode loop with
-    ``cupy`` arrays.  Unavailable without a CUDA device.
-``mock-device``
-    ``numpy`` masquerading as a device array module — always available,
-    so the device code path (transfers, masked commits, ``xp``-generic
-    arithmetic) is exercised by CI without hardware.
 
-``resolve_backend`` also accepts the alias ``"compiled"`` (first
-available of ``numba``, ``cnative``) and any :class:`ArrayBackend`
-instance (duck-typed backends plug straight in).
+Both run on the calling thread.  Worker processes — Monte-Carlo
+shards, the serve pool, the fabric — are the only parallel layer.
+
+``resolve_backend`` also accepts any :class:`ArrayBackend` instance
+(the serve engine's :class:`InstrumentedBackend`, or a subclass that
+overrides a hook), returned as-is.
 
 Every backend is bound by the bit-identity contract: for identical
 inputs it must reproduce the serial quantized golden models exactly
 (integer arithmetic is exact in any grouping, so this is a matter of
 preserving operation semantics, not tolerances).  The equivalence
-sweeps in ``tests/test_batch_quantized.py`` are parametrized over all
-installed backends to enforce it.
+sweeps in ``tests/test_batch_quantized.py`` run on every available
+backend to enforce it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -90,12 +80,9 @@ class ArrayBackend:
 
     #: Registry name (``resolve_backend(name)``).
     name = "numpy"
-    #: ``"numpy"`` (pure fallback), ``"fused"`` (compiled host kernels)
-    #: or ``"device"`` (arrays live on an accelerator; the zigzag
-    #: decoder switches to its device decode loop).
+    #: ``"numpy"`` (pure fallback) or ``"fused"`` (compiled kernels: the
+    #: zigzag decoder asks for the scan hook and a fused decode plan).
     kind = "numpy"
-    #: Array module (numpy-compatible namespace) for device-generic code.
-    xp = np
 
     @classmethod
     def available(cls) -> bool:
@@ -130,19 +117,6 @@ class ArrayBackend:
             arr = np.empty(shape, dtype)
             self._scratch[name] = arr
         return arr if arr.shape[0] == shape[0] else arr[: shape[0]]
-
-    # -- elementwise primitives -----------------------------------------
-    @staticmethod
-    def take(arr, indices, axis=1, out=None):
-        """Gather along ``axis`` (the decoders' edge-expansion shape)."""
-        return np.take(arr, indices, axis=axis, out=out)
-
-    @staticmethod
-    def lut_apply(table, idx, out=None):
-        """Apply a small lookup table elementwise (normalization)."""
-        return np.take(table, idx, out=out)
-
-    mask_into = staticmethod(mask_into)
 
     # -- segment reductions ----------------------------------------------
     @staticmethod
@@ -203,31 +177,7 @@ class ArrayBackend:
             f"backend {self.name!r} published no fused decode plan"
         )
 
-    # -- device transfer ---------------------------------------------------
-    def to_device(self, arr):
-        """Move a host array to the backend's array module (no-op here)."""
-        return arr
 
-    def asnumpy(self, arr) -> np.ndarray:
-        """Move an array back to host numpy (no-op here)."""
-        return np.asarray(arr)
-
-
-#: name -> backend class, in registration (= listing) order.
-_REGISTRY: "Dict[str, Type[ArrayBackend]]" = {}
-
-
-def register_backend(cls: Type[ArrayBackend]) -> Type[ArrayBackend]:
-    """Class decorator adding a backend to the registry."""
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-register_backend(ArrayBackend)
-NumpyBackend = ArrayBackend
-
-
-@register_backend
 class CNativeBackend(ArrayBackend):
     """Compiled C kernels built lazily with the system compiler.
 
@@ -314,132 +264,14 @@ class CNativeBackend(ArrayBackend):
         )
 
 
-@register_backend
-class NumbaBackend(ArrayBackend):
-    """``numba.njit(parallel=True)`` twins of the two scan kernels."""
-
-    name = "numba"
-    kind = "fused"
-
-    @classmethod
-    def available(cls) -> bool:
-        from . import _numba_kernels
-
-        return _numba_kernels.HAVE_NUMBA
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        from . import _numba_kernels
-
-        if _numba_kernels.HAVE_NUMBA:
-            return None
-        return f"numba not importable: {_numba_kernels.NUMBA_IMPORT_ERROR}"
-
-    def segment_min1_min2(
-        self, mags, starts, seg_of_sorted, edge_index, n_edges_val
-    ):
-        from . import _numba_kernels
-
-        if not mags.flags.c_contiguous:
-            return super().segment_min1_min2(
-                mags, starts, seg_of_sorted, edge_index, n_edges_val
-            )
-        starts64 = np.ascontiguousarray(starts, dtype=np.int64)
-        m, n_segs = mags.shape[0], starts64.shape[0]
-        min1 = np.empty((m, n_segs), dtype=mags.dtype)
-        min2 = np.empty((m, n_segs), dtype=mags.dtype)
-        argmin = np.empty((m, n_segs), dtype=np.int64)
-        _numba_kernels.segment_min_scan(
-            mags, starts64, int(np.iinfo(mags.dtype).max),
-            min1, min2, argmin,
-        )
-        return min1, min2, argmin
-
-    def zigzag_forward_scan(
-        self, n1, parity_neg, ch_pn, f_old, seg, mi, lut, f, a_norm, a_neg
-    ) -> bool:
-        from . import _numba_kernels
-
-        _numba_kernels.zigzag_forward_scan(
-            n1, parity_neg, ch_pn, f_old, seg, mi, lut, f, a_norm, a_neg
-        )
-        return True
-
-
-@register_backend
-class CupyBackend(ArrayBackend):
-    """CuPy device backend (zigzag device decode loop on a CUDA GPU)."""
-
-    name = "cupy"
-    kind = "device"
-
-    _probe: Optional[tuple] = None  # memoised (ok, reason)
-
-    @classmethod
-    def _check(cls) -> tuple:
-        if cls._probe is None:
-            try:  # pragma: no cover - requires CUDA hardware
-                import cupy
-
-                if cupy.cuda.runtime.getDeviceCount() < 1:
-                    raise RuntimeError("no CUDA device visible")
-                cls._probe = (True, None)
-            except Exception as exc:
-                cls._probe = (False, f"cupy unavailable: {exc}")
-        return cls._probe
-
-    @classmethod
-    def available(cls) -> bool:
-        return cls._check()[0]
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        return cls._check()[1]
-
-    def __init__(self) -> None:  # pragma: no cover - requires hardware
-        super().__init__()
-        import cupy
-
-        self.xp = cupy
-
-    def to_device(self, arr):  # pragma: no cover - requires hardware
-        return self.xp.asarray(arr)
-
-    def asnumpy(self, arr):  # pragma: no cover - requires hardware
-        return self.xp.asnumpy(arr)
-
-
-@register_backend
-class MockDeviceBackend(ArrayBackend):
-    """Numpy masquerading as a device module.
-
-    Always available, so the zigzag device decode loop — host/device
-    transfers, ``xp``-generic arithmetic, masked whole-batch commits —
-    is exercised on every CI run without accelerator hardware.  Slower
-    than the plain numpy backend by design (no subsetting, wide
-    dtypes): it exists to test the seam, not to win benchmarks.
-    """
-
-    name = "mock-device"
-    kind = "device"
-
-    def to_device(self, arr):
-        # Copy, as a real transfer would: mutations on "device" arrays
-        # must never alias caller memory.
-        return np.array(arr)
-
-
 class InstrumentedBackend(ArrayBackend):
     """Wraps any backend, timing its kernel primitives into a registry.
 
     The timed surface is the set of hooks a backend can accelerate —
-    ``segment_sum``, ``segment_min1_min2``, ``zigzag_forward_scan``,
-    ``fused_zigzag_decode`` and the device transfers — recorded as
-    ``<prefix>.<kernel>`` timers (default ``decode.kernel.*``), which
-    ``repro obs profile`` renders as the decode-stage breakdown.  The
-    cheap elementwise primitives (``take``/``lut_apply``/``mask_into``)
-    delegate untimed: they run thousands of times per frame and two
-    clock reads per call would distort exactly what is being measured.
+    ``segment_sum``, ``segment_min1_min2``, ``zigzag_forward_scan`` and
+    ``fused_zigzag_decode`` — recorded as ``<prefix>.<kernel>`` timers
+    (default ``decode.kernel.*``), which ``repro obs profile`` renders
+    as the decode-stage breakdown.
 
     The wrapper changes timing only, never values, so the bit-identity
     contract of the wrapped backend carries over unchanged.
@@ -455,10 +287,6 @@ class InstrumentedBackend(ArrayBackend):
         self._scratch = inner._scratch  # share the inner arena
         self.name = inner.name
         self.kind = inner.kind
-        self.xp = inner.xp
-        self.take = inner.take
-        self.lut_apply = inner.lut_apply
-        self.mask_into = inner.mask_into
 
     def _timer(self, kernel: str):
         return self.registry.timer(f"{self.prefix}.{kernel}")
@@ -495,14 +323,6 @@ class InstrumentedBackend(ArrayBackend):
                 decoder, plan, ch_in, ch_pn, budgets, early_stop
             )
 
-    def to_device(self, arr):
-        with self._timer("to_device"):
-            return self.inner.to_device(arr)
-
-    def asnumpy(self, arr):
-        with self._timer("asnumpy"):
-            return self.inner.asnumpy(arr)
-
 
 def instrument_backend(
     spec, registry, prefix: str = "decode.kernel"
@@ -515,31 +335,28 @@ def instrument_backend(
 
 
 # ---------------------------------------------------------------------------
-#: ``resolve_backend`` aliases: name -> preference-ordered candidates.
-_ALIASES = {"compiled": ("numba", "cnative")}
+#: name -> backend class, in listing order.
+_BACKENDS = {"numpy": ArrayBackend, "cnative": CNativeBackend}
 
 
 def backend_status() -> "Dict[str, tuple]":
-    """name -> (kind, unavailable_reason-or-None) for every registered
-    backend, in registration order."""
+    """name -> (kind, unavailable_reason-or-None) for every backend."""
     return {
         name: (cls.kind, cls.unavailable_reason())
-        for name, cls in _REGISTRY.items()
+        for name, cls in _BACKENDS.items()
     }
 
 
 def available_backends() -> List[str]:
     """Names of the backends usable in this environment."""
-    return [name for name, cls in _REGISTRY.items() if cls.available()]
+    return [name for name, cls in _BACKENDS.items() if cls.available()]
 
 
 def resolve_backend(spec=None) -> ArrayBackend:
     """Turn a backend spec into a ready :class:`ArrayBackend` instance.
 
-    ``spec`` may be ``None`` (numpy), a registered name, the
-    ``"compiled"`` alias (first available of numba, cnative), or an
-    :class:`ArrayBackend` instance (returned as-is, so duck-typed
-    third-party backends plug in without registration).
+    ``spec`` may be ``None`` (numpy), a backend name, or an
+    :class:`ArrayBackend` instance (returned as-is).
     """
     if spec is None:
         spec = "numpy"
@@ -550,23 +367,11 @@ def resolve_backend(spec=None) -> ArrayBackend:
             f"backend must be a name or ArrayBackend instance, "
             f"got {type(spec).__name__}"
         )
-    if spec in _ALIASES:
-        reasons = []
-        for cand in _ALIASES[spec]:
-            cls = _REGISTRY[cand]
-            if cls.available():
-                return cls()
-            reasons.append(f"{cand}: {cls.unavailable_reason()}")
-        raise ValueError(
-            f"no {spec!r} backend is available ({'; '.join(reasons)})"
-        )
-    cls = _REGISTRY.get(spec)
+    cls = _BACKENDS.get(spec)
     if cls is None:
-        names = ", ".join(
-            sorted(set(available_backends()) | set(_ALIASES))
-        )
         raise ValueError(
-            f"unknown backend {spec!r}; available backends: {names}"
+            f"unknown backend {spec!r}; available backends: "
+            f"{', '.join(available_backends())}"
         )
     if not cls.available():
         raise ValueError(

@@ -203,12 +203,6 @@ class BatchQuantizedMinSumDecoder(_QuantizedBatchBase):
         backend=None,
     ) -> None:
         super().__init__(code, fmt, normalization, channel_scale, backend)
-        if self.backend.kind == "device":
-            raise ValueError(
-                f"backend {self.backend.name!r} is a device backend; "
-                "quantized-minsum supports numpy/fused backends only "
-                "(use schedule='quantized-zigzag' for device decoding)"
-            )
         graph = code.graph
         self._vn_order = graph.vn_order
         self._vn_starts = graph.vn_ptr[:-1]
@@ -559,16 +553,10 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
             max_iterations, frames
         )
         # Tracing needs per-iteration observables, which only the
-        # stepwise numpy loop exposes — the fused/device fast paths are
+        # stepwise numpy loop exposes — the fused fast path is
         # bit-identical, so falling back never changes results.
-        if iteration_trace is None:
-            if self._fused_plan is not None:
-                return self._decode_fused(ch, budgets, early_stop)
-            if (
-                self.backend.kind == "device"
-                and self._vn_gather_tm is not None
-            ):
-                return self._decode_device(ch, budgets, limit, early_stop)
+        if iteration_trace is None and self._fused_plan is not None:
+            return self._decode_fused(ch, budgets, early_stop)
         k, n_par, e_in = self._k, self._n_parity, self._e_in
         ch_in = ch[:, :k]
         ch_pn = np.ascontiguousarray(ch[:, k:])
@@ -760,153 +748,6 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
         bits, converged, iterations = self.backend.fused_zigzag_decode(
             self, self._fused_plan, ch_in, ch_pn, budgets, early_stop
         )
-        return BatchDecodeResult(
-            bits=bits, converged=converged, iterations=iterations
-        )
-
-    def _decode_device(
-        self,
-        ch: np.ndarray,
-        budgets: np.ndarray,
-        limit: int,
-        early_stop: bool,
-    ) -> BatchDecodeResult:
-        """Zigzag decode with the working set on a device array module.
-
-        The same golden-model operation sequence as the numpy loop, in
-        ``xp``-generic arithmetic: every intermediate is exact in int32,
-        so results stay bit-identical.  Device-friendly shape: no frame
-        subsetting (state is committed through masked whole-batch
-        blends) and only decisions/syndromes return to the host each
-        iteration.
-        """
-        be = self.backend
-        xp = be.xp
-        k, n_par, width = self._k, self._n_parity, self._width
-        e_in, seg, q = self._e_in, self.segments, self._seg_len
-        mi = int(self.fmt.max_int)
-        frames = ch.shape[0]
-
-        lut = be.to_device(self._norm_lut.astype(np.int32))
-        in_vn = be.to_device(
-            np.ascontiguousarray(self._in_vn_sorted, dtype=np.int64)
-        )
-        gather_tm = be.to_device(
-            np.ascontiguousarray(self._vn_gather_tm, dtype=np.int64)
-        )
-        ch_in = be.to_device(
-            np.ascontiguousarray(ch[:, :k], dtype=np.int32)
-        )
-        ch_pn = be.to_device(
-            np.ascontiguousarray(ch[:, k:], dtype=np.int32)
-        )
-        c2v = xp.zeros((frames, e_in), dtype=xp.int32)
-        b_old = xp.zeros((frames, n_par + 1), dtype=xp.int32)
-        f_old = xp.zeros((frames, n_par), dtype=xp.int32)
-        posts = ch_in.copy()  # wide info posteriors (channel + totals)
-
-        # Control state stays on the host: tiny, and it steers python
-        # control flow every iteration anyway.
-        bits = (ch < 0).astype(np.uint8)
-        iterations = np.zeros(frames, dtype=np.int64)
-        converged = (
-            self._syndromes_ok(bits)
-            if early_stop
-            else np.zeros(frames, dtype=bool)
-        )
-        active = (iterations < budgets) & ~converged
-
-        t_idx = np.arange(width).reshape(1, width, 1)
-        t_idx = be.to_device(t_idx)
-        seg_last = np.arange(1, seg) * q - 1  # host index arrays are fine
-        for _ in range(1, limit + 1):
-            if not active.any():
-                break
-            act = be.to_device(active)[:, None]
-            # VN phase.
-            v2c = xp.take(posts, in_vn, axis=1)
-            v2c = xp.clip(v2c - c2v, -mi, mi)
-            # CN phase: slab minima (argmin keeps first occurrence,
-            # matching the numpy online scan's strict-less updates).
-            slabs = v2c.reshape(frames, width, n_par)
-            negs = slabs < 0
-            mags = xp.abs(slabs)
-            min1 = mags.min(axis=1)
-            amin = mags.argmin(axis=1)
-            sel = t_idx == amin[:, None, :]
-            # Seeded at max_int exactly like the numpy scan: the true
-            # second minimum whenever a check has >= 2 info edges.
-            min2 = xp.where(sel, mi, mags).min(axis=1)
-            parity_neg = (negs.sum(axis=1) & 1).astype(xp.bool_)
-            c_in = xp.clip(ch_pn + b_old[:, 1:], -mi, mi)
-            c_neg = c_in < 0
-            lutc = xp.take(lut, xp.abs(c_in))
-            n1 = xp.take(lut, min1)
-            # Forward chain scan, serial over the q checks of a segment.
-            n1_s = n1.reshape(frames, seg, q)
-            par_s = parity_neg.reshape(frames, seg, q)
-            ch_s = ch_pn.reshape(frames, seg, q)
-            f = xp.empty((frames, seg, q), dtype=xp.int32)
-            anorm = xp.empty((frames, seg, q), dtype=xp.int32)
-            aneg = xp.empty((frames, seg, q), dtype=xp.bool_)
-            a = xp.full((frames, seg), mi, dtype=xp.int32)
-            if seg > 1:
-                a[:, 1:] = xp.clip(
-                    ch_pn[:, seg_last] + f_old[:, seg_last], -mi, mi
-                )
-            for t in range(q):
-                an = xp.take(lut, xp.abs(a))
-                ng = a < 0
-                anorm[:, :, t] = an
-                aneg[:, :, t] = ng
-                mag = xp.minimum(n1_s[:, :, t], an)
-                f_t = xp.where(par_s[:, :, t] ^ ng, -mag, mag)
-                f[:, :, t] = f_t
-                a = xp.clip(ch_s[:, :, t] + f_t, -mi, mi)
-            f_lin = f.reshape(frames, n_par)
-            anorm_lin = anorm.reshape(frames, n_par)
-            aneg_lin = aneg.reshape(frames, n_par)
-            # Output magnitudes/signs per slab.
-            chain = xp.minimum(anorm_lin, lutc)
-            lo1 = xp.minimum(n1, chain)
-            lo2 = xp.minimum(xp.take(lut, min2), chain)
-            b_mag = xp.minimum(n1, lutc)
-            b = xp.where(parity_neg ^ c_neg, -b_mag, b_mag)
-            chain_neg = parity_neg ^ aneg_lin ^ c_neg
-            bmag = xp.where(sel, lo2[:, None, :], lo1[:, None, :])
-            sign = chain_neg[:, None, :] ^ negs
-            c2v_new = xp.where(sign, -bmag, bmag).reshape(frames, e_in)
-            # Decision pass over the degree runs.
-            gathered = xp.take(c2v_new, gather_tm, axis=1)
-            posts_new = xp.empty((frames, k), dtype=xp.int32)
-            for v0, v1, d, offset in self._deg_runs:
-                run = gathered[
-                    :, offset: offset + d * (v1 - v0)
-                ].reshape(frames, d, v1 - v0)
-                acc = run[:, 0]
-                for t in range(1, d):
-                    acc = acc + run[:, t]
-                posts_new[:, v0:v1] = acc
-            posts_new = posts_new + ch_in
-            pn_new = ch_pn + f_lin
-            pn_new[:, :-1] = pn_new[:, :-1] + b[:, 1:]
-            b_store = xp.zeros((frames, n_par + 1), dtype=xp.int32)
-            b_store[:, 1:n_par] = b[:, 1:]
-            # Masked whole-batch commit (frozen frames keep their state).
-            c2v = xp.where(act, c2v_new, c2v)
-            f_old = xp.where(act, f_lin, f_old)
-            b_old = xp.where(act, b_store, b_old)
-            posts = xp.where(act, posts_new, posts)
-            # Decisions and syndromes on the host.
-            sub_bits = np.concatenate(
-                (be.asnumpy(posts_new < 0), be.asnumpy(pn_new < 0)),
-                axis=1,
-            ).astype(np.uint8)
-            iterations[active] += 1
-            bits[active] = sub_bits[active]
-            if early_stop:
-                converged |= active & self._syndromes_ok(sub_bits)
-            active = (iterations < budgets) & ~converged
         return BatchDecodeResult(
             bits=bits, converged=converged, iterations=iterations
         )

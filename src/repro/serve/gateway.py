@@ -19,6 +19,10 @@ line** in each direction (newline-delimited, UTF-8).  Requests:
     (``bits``, via ``np.packbits``) plus ``n`` for exact unpacking,
     ``iterations``, ``converged`` and ``latency_ms``.
 
+A request line may be as long as the longest valid decode request for
+the fabric's code length, so full 64800-LLR frames fit.  A longer line
+gets ``{"ok": false, "error": ...}`` and only its connection is closed.
+
 Flow control is per connection: at most ``window`` decodes may be in
 flight per client; when a client hits its window the gateway simply
 stops reading its socket until completions drain, so backpressure is
@@ -54,6 +58,23 @@ _BUSY_TICK_S = 0.001
 #: Pump sleep when completely idle (seconds) — bounded so new arrivals
 #: admitted by connection handlers are picked up promptly.
 _IDLE_TICK_S = 0.02
+#: Longest text one LLR takes in an accepted encoding: a float64 ``repr``
+#: in a JSON list ("-2.2250738585072014e-308", 24 characters) plus its
+#: ", " separator.  ``llrs_f32`` needs only 8 hex characters per LLR.
+_LLR_TEXT_MAX = 26
+#: Room for the rest of a request line (op, id, deadline, client):
+#: asyncio's default line limit, which every short request fits.
+_ENVELOPE_BYTES = 64 * 1024
+
+
+def _line_limit(n: int) -> int:
+    """Longest request line (bytes) accepted for an ``n``-bit code."""
+    return n * _LLR_TEXT_MAX + _ENVELOPE_BYTES
+
+
+def _encode(message: dict) -> bytes:
+    """One protocol line."""
+    return (json.dumps(message) + "\n").encode()
 
 
 def _decode_llrs(message: dict, n: int) -> np.ndarray:
@@ -130,7 +151,8 @@ class FabricGateway:
     async def start(self) -> None:
         """Bind, start serving, and start the pump task."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=_line_limit(self.fabric.code.n),
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._pump_task = asyncio.get_running_loop().create_task(
@@ -202,9 +224,7 @@ class FabricGateway:
                 conn.drained.set()
             if not conn.closed:
                 try:
-                    conn.writer.write(
-                        (json.dumps(response) + "\n").encode()
-                    )
+                    conn.writer.write(_encode(response))
                 except (ConnectionError, RuntimeError):
                     conn.closed = True
 
@@ -224,7 +244,19 @@ class FabricGateway:
                 while conn.inflight >= self.window:
                     conn.drained.clear()
                     await conn.drained.wait()
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Longer than any valid request.  The rest of the
+                    # line cannot be told from the next request, so
+                    # answer and drop this connection only.
+                    writer.write(_encode({
+                        "ok": False,
+                        "error": "request line exceeds "
+                                 f"{_line_limit(self.fabric.code.n)} bytes",
+                    }))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 await self._handle_line(conn, client_tag, line, writer)
@@ -250,19 +282,19 @@ class FabricGateway:
             message = json.loads(line)
             op = message.get("op")
             if op == "ping":
-                writer.write((json.dumps({
+                writer.write(_encode({
                     "ok": True,
                     "op": "ping",
                     "workers": self.fabric.config.workers,
                     "dispatch": self.fabric.config.dispatch,
-                }) + "\n").encode())
+                }))
                 return
             if op == "stats":
-                writer.write((json.dumps({
+                writer.write(_encode({
                     "ok": True,
                     "op": "stats",
                     "snapshot": self.fabric.merged_snapshot(),
-                }) + "\n").encode())
+                }))
                 return
             if op != "decode":
                 raise ValueError(f"unknown op {op!r}")
@@ -280,10 +312,7 @@ class FabricGateway:
             conn.inflight += 1
             self._routes[request_id] = (conn, message.get("id"))
         except (ValueError, KeyError, TypeError) as exc:
-            writer.write((json.dumps({
-                "ok": False,
-                "error": str(exc),
-            }) + "\n").encode())
+            writer.write(_encode({"ok": False, "error": str(exc)}))
 
 
 class FabricClient:
@@ -317,7 +346,7 @@ class FabricClient:
 
     # ------------------------------------------------------------------
     def _send(self, message: dict) -> None:
-        self._file.write((json.dumps(message) + "\n").encode())
+        self._file.write(_encode(message))
         self._file.flush()
 
     def _recv(self) -> dict:

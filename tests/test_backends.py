@@ -2,13 +2,19 @@
 
 The bit-identity sweeps comparing whole decodes against the single-frame
 golden models live in ``test_batch_quantized.py`` (parametrized over all
-installed backends); this module covers the seam itself — backend
+available backends); this module covers the seam itself — backend
 resolution and error reporting, the shared table cache, the individual
-kernel hooks against the decoders' numpy reference paths, and that the
-fused / device fast paths are actually taken.
+cnative kernels against the decoders' numpy reference paths, that the
+fused fast path is actually taken, and that forked pools still decode
+after an inline cnative decode.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,18 +27,17 @@ from repro.decode import (
     backend_status,
     resolve_backend,
 )
-from repro.decode import _cnative, _numba_kernels
-from repro.decode.backend import (
-    ArrayBackend,
-    MockDeviceBackend,
-    NumpyBackend,
-)
+from repro.decode import _cnative
+from repro.decode.backend import ArrayBackend
 from repro.decode.batch import make_batch_decoder
 from repro.encode import IraEncoder
 from repro.sim.fast import fast_ber
 
 BACKENDS = available_backends()
 HAVE_CNATIVE = "cnative" in BACKENDS
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 
 
 def _frame_batch(code, ebn0_db, n_frames, seed, hopeless=0):
@@ -71,7 +76,7 @@ def test_resolve_default_is_numpy():
 
 
 def test_resolve_instance_passes_through():
-    be = MockDeviceBackend()
+    be = ArrayBackend()
     assert resolve_backend(be) is be
 
 
@@ -82,7 +87,6 @@ def test_unknown_backend_lists_available():
     assert "'no-such-backend'" in msg
     for name in available_backends():
         assert name in msg
-    assert "compiled" in msg  # the alias is advertised too
 
 
 def test_unknown_backend_through_factory(code_half):
@@ -110,24 +114,11 @@ def test_unavailable_backend_reports_reason():
             resolve_backend(name)
 
 
-def test_compiled_alias_resolves_or_explains():
-    status = backend_status()
-    candidates = [
-        n for n in ("numba", "cnative") if status[n][1] is None
-    ]
-    if candidates:
-        assert resolve_backend("compiled").name == candidates[0]
-    else:
-        with pytest.raises(ValueError, match="compiled"):
-            resolve_backend("compiled")
-
-
 def test_backend_status_covers_registry():
     status = backend_status()
-    for name in ("numpy", "cnative", "numba", "cupy", "mock-device"):
-        assert name in status
+    assert list(status) == ["numpy", "cnative"]
     assert status["numpy"] == ("numpy", None)
-    assert status["mock-device"] == ("device", None)
+    assert status["cnative"][0] == "fused"
     for name in available_backends():
         assert status[name][1] is None
 
@@ -135,11 +126,6 @@ def test_backend_status_covers_registry():
 def test_backend_rejected_for_float_schedules(code_half):
     with pytest.raises(ValueError, match="quantized"):
         make_batch_decoder(code_half, schedule="zigzag", backend="numpy")
-
-
-def test_device_backend_rejected_for_minsum(code_half):
-    with pytest.raises(ValueError, match="device"):
-        BatchQuantizedMinSumDecoder(code_half, backend="mock-device")
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +171,6 @@ def test_scratch_arena_grows_and_slices():
     assert d.dtype == np.int16
 
 
-def test_mock_device_transfer_never_aliases():
-    be = MockDeviceBackend()
-    host = np.arange(6, dtype=np.int32)
-    dev = be.to_device(host)
-    assert dev is not host
-    dev[0] = 99
-    assert host[0] == 0
-    assert isinstance(be.asnumpy(dev), np.ndarray)
-
-
 # ---------------------------------------------------------------------------
 # Kernel hook parity against the numpy reference implementations
 
@@ -213,27 +189,11 @@ def _random_segments(rng, n_segs, m):
 
 
 def _reference_min_scan(mags, starts, seg_of_sorted, edge_index, n_edges):
-    ref = NumpyBackend()
+    ref = ArrayBackend()
     return ref.segment_min1_min2(
         mags.copy(), starts, seg_of_sorted, edge_index,
         edge_index.dtype.type(n_edges),
     )
-
-
-def test_numba_twin_segment_min_scan_matches_numpy(rng):
-    mags, starts, seg_of, eidx, n_edges = _random_segments(rng, 37, 5)
-    m1_ref, m2_ref, am_ref = _reference_min_scan(
-        mags, starts, seg_of, eidx, n_edges
-    )
-    m1 = np.empty((5, 37), dtype=np.int8)
-    m2 = np.empty((5, 37), dtype=np.int8)
-    am = np.empty((5, 37), dtype=np.int64)
-    _numba_kernels._segment_min_scan(
-        mags, starts, int(np.iinfo(np.int8).max), m1, m2, am
-    )
-    np.testing.assert_array_equal(m1, m1_ref)
-    np.testing.assert_array_equal(m2, m2_ref)
-    np.testing.assert_array_equal(am, am_ref)
 
 
 @pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
@@ -269,26 +229,6 @@ def _numpy_scan_reference(code, n1, parity_neg, ch_pn, f_old):
         n1.copy(), parity_neg.copy(), ch_pn.copy(), f_old.copy(),
         reuse=False,
     )
-
-
-def test_numba_twin_forward_scan_matches_decoder(code_half, rng):
-    n1, parity_neg, ch_pn, f_old, mi, lut = _synthetic_scan_inputs(
-        code_half, rng
-    )
-    f_ref, an_ref, ag_ref = _numpy_scan_reference(
-        code_half, n1, parity_neg, ch_pn, f_old
-    )
-    m, n_par = n1.shape
-    seg = code_half.profile.parallelism
-    f = np.empty((m, n_par), dtype=np.int8)
-    a_norm = np.empty((m, n_par), dtype=np.int8)
-    a_neg = np.empty((m, n_par), dtype=bool)
-    _numba_kernels._zigzag_forward_scan(
-        n1, parity_neg, ch_pn, f_old, seg, mi, lut, f, a_norm, a_neg
-    )
-    np.testing.assert_array_equal(f, f_ref)
-    np.testing.assert_array_equal(a_norm, an_ref)
-    np.testing.assert_array_equal(a_neg, ag_ref)
 
 
 @pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
@@ -342,30 +282,6 @@ def test_cnative_fused_plan_engages(code_half, monkeypatch):
     _assert_results_equal(ref, got)
 
 
-def test_mock_device_loop_engages(code_half, monkeypatch):
-    calls = []
-    orig = BatchQuantizedZigzagDecoder._decode_device
-
-    def spy(self, *args, **kwargs):
-        calls.append(1)
-        return orig(self, *args, **kwargs)
-
-    monkeypatch.setattr(
-        BatchQuantizedZigzagDecoder, "_decode_device", spy
-    )
-    dec = BatchQuantizedZigzagDecoder(
-        code_half, normalization=0.75, channel_scale=0.5,
-        backend="mock-device",
-    )
-    llrs = _frame_batch(code_half, 2.2, 4, seed=3, hopeless=1)
-    got = dec.decode_batch(llrs, max_iterations=20)
-    assert calls  # the device loop ran
-    ref = BatchQuantizedZigzagDecoder(
-        code_half, normalization=0.75, channel_scale=0.5
-    ).decode_batch(llrs, max_iterations=20)
-    _assert_results_equal(ref, got)
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_per_frame_budgets_match_across_backends(code_half, backend):
     """Per-frame budgets (including zero) freeze frames identically on
@@ -413,7 +329,7 @@ def test_trace_falls_back_bit_identically(code_half, backend):
 
 
 def test_duck_typed_backend_instance(code_half):
-    """An unregistered ArrayBackend subclass plugs straight in."""
+    """An ArrayBackend subclass instance plugs straight in."""
 
     class TracingBackend(ArrayBackend):
         name = "tracing"
@@ -450,3 +366,58 @@ def test_fast_ber_equal_across_backends(code_half_tiny, backend):
     ref = fast_ber(code_half_tiny, **kwargs)
     got = fast_ber(code_half_tiny, backend=backend, **kwargs)
     assert ref == got
+
+
+# ---------------------------------------------------------------------------
+# Fork safety: processes are the only parallel layer
+
+#: Inline cnative decode first, then the two forking pools decode again.
+_FORK_AFTER_INLINE = """
+import numpy as np
+from repro.codes import build_small_code
+from repro.decode.batch import make_batch_decoder
+from repro.serve import DecodeService, ServeConfig
+from repro.sim import parallel_ber
+
+code = build_small_code("1/2", parallelism=12)
+llrs = np.random.default_rng(1).normal(2.0, 2.0, (40, code.n))
+make_batch_decoder(
+    code, schedule="quantized-zigzag", backend="cnative"
+).decode_batch(llrs)
+run = parallel_ber(
+    code, 1.0, max_frames=64, workers=2, schedule="quantized-zigzag",
+    backend="cnative", seed=3,
+)
+print("parallel_ber", run.result.frames, flush=True)
+service = DecodeService(code, ServeConfig(backend="cnative", workers=2))
+try:
+    for row in llrs[:16]:
+        service.submit(row, now=0.0)
+    service.flush()
+    print("service", len(service.poll()), flush=True)
+finally:
+    service.close()
+"""
+
+
+@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
+def test_pooled_cnative_decodes_after_inline_decode():
+    """Forked pool workers still decode once the parent has decoded
+    inline with cnative.  A kernel that started threads in the parent
+    would leave the children waiting on helpers they do not have; the
+    steps run in their own process group, killed whole at the bound, so
+    a regression fails here instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FORK_AFTER_INLINE],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+        pytest.fail(f"pooled cnative decode hung; got only:\n{out}")
+    assert proc.returncode == 0, err
+    assert out.split("\n")[:2] == ["parallel_ber 64", "service 16"]

@@ -24,7 +24,6 @@ from repro.decode import (
     QuantizedMinSumDecoder,
     QuantizedZigzagDecoder,
     available_backends,
-    backend_status,
 )
 from repro.decode.batch import make_batch_decoder
 from repro.encode import IraEncoder
@@ -42,15 +41,6 @@ PAIRS = [
 #: Every array backend usable here — the equivalence sweeps run the
 #: batch decoders on each of them against the same golden models.
 BACKENDS = available_backends()
-_BACKEND_KIND = {n: s[0] for n, s in backend_status().items()}
-
-
-def _skip_unsupported(batch_cls, backend):
-    if (
-        batch_cls is BatchQuantizedMinSumDecoder
-        and _BACKEND_KIND[backend] == "device"
-    ):
-        pytest.skip("quantized-minsum supports numpy/fused backends only")
 
 
 def _build(cls, code, **kwargs):
@@ -98,8 +88,7 @@ def test_matches_single_frame_with_mixed_convergence(
 ):
     """Converged, slow and hopeless frames in one batch, all identical
     to the single-frame decoder (frozen frames stay frozen) — on every
-    installed array backend."""
-    _skip_unsupported(batch_cls, backend)
+    available array backend."""
     _, llrs = _frame_batch(code_half, 2.2, 6, seed=7, hopeless=1)
     single = _build(
         single_cls, code_half,
@@ -124,7 +113,6 @@ def test_matches_single_frame_across_rates(
 ):
     """Multi-rate equivalence sweep: low-, mid- and high-rate graph
     structures through both quantized schedules and every backend."""
-    _skip_unsupported(batch_cls, backend)
     code = request.getfixturevalue(rate_fixture)
     ebn0 = {"code_14": 1.5, "code_half": 2.0, "code_34": 3.2}[rate_fixture]
     _, llrs = _frame_batch(code, ebn0, 3, seed=11)
@@ -143,7 +131,6 @@ def test_matches_single_frame_across_rates(
 def test_five_bit_format_matches_single_frame(
     code_half, single_cls, batch_cls, backend
 ):
-    _skip_unsupported(batch_cls, backend)
     _, llrs = _frame_batch(code_half, 2.5, 3, seed=23)
     single = _build(
         single_cls, code_half,

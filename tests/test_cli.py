@@ -83,6 +83,27 @@ def test_ber_quantized_wordlength_5(capsys):
     assert "fixed point     : 5-bit (1 fractional)" in out
 
 
+def test_ber_worker_count_and_telemetry_keep_the_answer(capsys, tmp_path):
+    """Every run takes the sharded engine, so neither the worker count
+    nor a telemetry flag changes the seeded measurement."""
+    base = ("ber", "--parallelism", "12", "--frames", "64",
+            "--ebn0", "1.0", "--seed", "5")
+    answers = []
+    for extra in (
+        ("--workers", "1"),
+        ("--workers", "2"),
+        ("--workers", "1", "--metrics-out", str(tmp_path / "m.json")),
+    ):
+        code, out = run(capsys, *base, *extra)
+        assert code == 0
+        answers.append([
+            line for line in out.splitlines()
+            if line.split(":")[0].strip() in ("BER", "FER", "avg iterations")
+        ])
+    assert len(answers[0]) == 3
+    assert answers[0] == answers[1] == answers[2]
+
+
 def test_ber_channel_scale_requires_quantized(capsys):
     code = main([
         "ber", "--rate", "1/2", "--ebn0", "3.0", "--frames", "2",

@@ -9,7 +9,11 @@ fabric, and the books stay balanced.
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from repro.serve import (
     serve_fabric,
     unpack_bits_hex,
 )
+from repro.serve.gateway import _line_limit
 
 
 def _calm_config(**overrides) -> ServeConfig:
@@ -211,6 +216,90 @@ class TestGatewayProtocol:
                 client.drain()
                 assert client.inflight == 0
         assert seen.count("ok") == 10
+
+
+class _StubFabric:
+    """Just enough fabric for the gateway: records each submission and
+    completes it at once with all-zero bits."""
+
+    def __init__(self, n: int) -> None:
+        self.code = SimpleNamespace(n=n)
+        self.config = SimpleNamespace(workers=1, dispatch="least-loaded")
+        self.submitted = []
+        self._pending = []
+        self._done = []
+
+    def clock(self) -> float:
+        return time.monotonic()
+
+    def submit(self, llrs, *, deadline_s=None, now=None, client=None):
+        request_id = len(self.submitted)
+        self.submitted.append(llrs)
+        self._done.append(SimpleNamespace(
+            request_id=request_id, status="ok", ok=True,
+            bits=np.zeros(self.code.n, dtype=np.uint8), converged=True,
+            iterations=0, iteration_budget=0, latency_s=0.0,
+        ))
+        return request_id
+
+    def poll(self):
+        done, self._done = self._done, []
+        return done
+
+    def pump(self) -> None:
+        pass
+
+    def next_due(self, now):
+        return None
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class TestLineLimit:
+    def test_full_size_f32_frame_is_submitted(self):
+        # One 64800-LLR llrs_f32 request is 518,400 hex characters,
+        # eight times asyncio's default 64 KiB line limit.
+        fabric = _StubFabric(64800)
+        llrs = np.random.default_rng(3).normal(size=64800)
+        got = []
+        with _GatewayHarness(fabric) as server:
+            with FabricClient(
+                "127.0.0.1", server.port, on_response=got.append
+            ) as client:
+                client.decode(llrs, correlation=7)
+                client.drain()
+        assert got[0]["ok"] and got[0]["id"] == 7
+        assert got[0]["status"] == "ok" and got[0]["n"] == 64800
+        assert len(fabric.submitted) == 1
+        np.testing.assert_array_equal(
+            fabric.submitted[0], llrs.astype("<f4")
+        )
+
+    def test_over_limit_line_gets_typed_error_and_others_survive(self):
+        fabric = _StubFabric(100)
+        line = b"x" * (_line_limit(100) + 10) + b"\n"
+        with _GatewayHarness(fabric) as server:
+            with FabricClient("127.0.0.1", server.port) as survivor:
+                with socket.create_connection(
+                    ("127.0.0.1", server.port), timeout=30.0
+                ) as sock:
+                    try:
+                        sock.sendall(line)
+                    except OSError:
+                        pass  # the gateway may close before the tail
+                    with sock.makefile("rb") as reader:
+                        reply = reader.readline()
+                response = json.loads(reply)
+                assert response["ok"] is False
+                assert "exceeds" in response["error"]
+                assert survivor.ping()["ok"]
+                survivor.decode(np.zeros(100), correlation=1)
+                survivor.drain()
+        assert len(fabric.submitted) == 1
 
 
 class TestServeFabricEntrypoint:
