@@ -7,9 +7,10 @@ gateway's ``--metrics-out`` snapshot::
     python benchmarks/verify_fabric_soak.py metrics.json --workers 2
 
 Checks: the merged snapshot carries every per-worker sub-view, the
-SIGKILLed worker was respawned at least once, and request accounting
-balances (``completed + rejected + expired == submitted``) — i.e. the
-kill lost nothing.  Exit 0 on success, 1 with a reason on stderr.
+SIGKILLed worker was respawned at least once, request accounting
+balances (``completed + rejected + expired + failed == submitted``),
+and no frame failed — i.e. the healed kill lost nothing.  Exit 0 on
+success, 1 with a reason on stderr.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def verify(snapshot: dict, *, workers: int,
             "serve.requests.completed",
             "serve.requests.rejected",
             "serve.requests.expired",
+            "serve.requests.failed",
         )
     )
     if exits != submitted:
@@ -48,6 +50,9 @@ def verify(snapshot: dict, *, workers: int,
             f"accounting unbalanced: {exits} exits != "
             f"{submitted} submitted"
         )
+    failed = counters.get("serve.requests.failed", 0)
+    if failed:
+        problems.append(f"{failed} frames failed: the kill lost work")
     if expect_restart and counters.get("pool.worker_restart", 0) < 1:
         problems.append(
             "chaos kill was not healed (pool.worker_restart == 0)"

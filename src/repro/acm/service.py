@@ -1,58 +1,61 @@
-"""Multi-MODCOD serving: one submit/poll plane over per-config services.
+"""Multi-MODCOD serving: the serve pump with one route per MODCOD.
 
-The decode engine serves exactly one ``(code, config)`` — its batches
-are same-rate by construction.  ACM traffic mixes MODCODs frame by
-frame, so :class:`MultiModcodService` keeps a lazy cache of
-single-config :class:`~repro.serve.engine.DecodeService` instances
-(one per MODCOD label, built on first use — the serve-plane analogue
-of :class:`~repro.sim.pool.PersistentPool`'s configure-keyed reuse),
-routes each submitted frame to its MODCOD's service, and merges
-completions back under one global request-id space.
+ACM traffic mixes MODCODs frame by frame, while a batch is same-rate
+by construction.  :class:`MultiModcodService` is the
+:class:`~repro.serve.engine.DecodeService` pump with the MODCOD label
+as its routing key: each MODCOD gets a route (its code, registered on
+first use — the serve-plane analogue of
+:class:`~repro.sim.pool.PersistentPool`'s configure-keyed reuse) with
+its own bounded admission queue, and every frame joins the queue of its
+MODCOD under one request-id space.
 
 Batching therefore groups *by config automatically*: frames of the
-same MODCOD land in the same child service and micro-batch together,
-while different MODCODs decode independently — and since the batched
+same MODCOD micro-batch together, different MODCODs decode in separate
+batches on the same executor — inline, or on one pool of
+``config.workers`` processes, each of which builds a MODCOD's decoder
+the first time it receives one of its batches.  Since the batched
 decoders are bit-identical per frame regardless of batch composition,
 the mixed plane's output matches dedicated per-MODCOD services bit for
 bit (the acceptance bar the scenario bench enforces).
 
-Each child meters into its own registry; :meth:`merged_snapshot` folds
-them with per-MODCOD sub-views via
-:func:`~repro.obs.registry.merge_snapshots`, so one
-:class:`~repro.serve.report.ServiceReport` can break the mix down.
+Every metric lands once in the plane's registry; each MODCOD also keeps
+a view of its own frames, and :meth:`merged_snapshot` attaches those
+per-MODCOD sub-views, so one :class:`~repro.serve.report.ServiceReport`
+can break the mix down.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace as dc_replace
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import List, Optional
 
 import numpy as np
 
-from ..obs.registry import MetricsRegistry, merge_snapshots
+from ..codes.construction import LdpcCode
+from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceRecorder
-from ..serve.api import DecodeResult, ServeConfig
-from ..serve.engine import DecodeService
+from ..serve.api import ServeConfig
+from ..serve.engine import DecodeService, Route
 from .modcod import ModCod, build_modcod_code
 
 
-class MultiModcodService:
-    """Serve a per-frame MODCOD mix through cached per-config services.
+class MultiModcodService(DecodeService):
+    """Serve a per-frame MODCOD mix through one pump, routed by MODCOD.
 
     Parameters
     ----------
     config:
-        The :class:`~repro.serve.api.ServeConfig` template every child
-        service is built from (same batching/shedding/decoder knobs;
-        only the code differs per MODCOD).
+        The :class:`~repro.serve.api.ServeConfig` every MODCOD is
+        served with (same batching/shedding/decoder knobs; only the
+        code differs per MODCOD).  ``workers > 1`` decodes every MODCOD
+        on one shared pool of that many processes.
     parallelism:
         Code scale for normal frames (see
         :func:`~repro.acm.modcod.build_modcod_code`).
     registry:
-        When given, children meter into per-label sub-registries
-        derived from it only via :meth:`merged_snapshot`; children
-        always get private registries so per-MODCOD numbers never mix.
+        Metrics sink for the whole plane (a private registry when
+        omitted); every frame is counted in it once.
     clock:
         Shared service clock (tests inject a manual clock).
     """
@@ -68,45 +71,34 @@ class MultiModcodService:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.parallelism = parallelism
-        self.registry = registry
-        self.trace = trace
-        self.clock = clock
-        self._services: Dict[str, DecodeService] = {}
-        self._registries: Dict[str, MetricsRegistry] = {}
-        #: global id -> (label, child-local id)
-        self._routes: Dict[int, Tuple[str, int]] = {}
-        #: (label, child-local id) -> global id
-        self._global_of: Dict[Tuple[str, int], int] = {}
-        self._next_id = 0
-        self._closed = False
+        self._init_pump(
+            self.config, {},
+            registry=registry if registry is not None else MetricsRegistry(),
+            trace=trace, clock=clock,
+        )
 
     # ------------------------------------------------------------------
-    def service_for(self, modcod: ModCod) -> DecodeService:
-        """The (lazily built) child service for a MODCOD."""
+    def service_for(self, modcod: ModCod) -> LdpcCode:
+        """Register a MODCOD's route on first use; returns its code.
+
+        On the inline path this builds the MODCOD's decoder; pooled
+        workers build it where its batches decode.
+        """
         label = modcod.label
-        service = self._services.get(label)
-        if service is None:
-            code = build_modcod_code(
-                modcod, parallelism=self.parallelism
+        route = self._routes.get(label)
+        if route is None:
+            recipe = partial(
+                build_modcod_code, modcod, parallelism=self.parallelism
             )
-            child_registry = MetricsRegistry()
-            service = DecodeService(
-                code,
-                self.config,
-                registry=child_registry,
-                trace=self.trace,
-                clock=self.clock,
-            )
-            self._services[label] = service
-            self._registries[label] = child_registry
-        return service
+            route = Route(recipe(), recipe, MetricsRegistry())
+            self._add_route(label, route)
+        return route.code
 
     @property
     def active_modcods(self) -> List[str]:
-        """Labels of the configs built so far (submission order)."""
-        return list(self._services)
+        """Labels of the MODCODs routed so far (submission order)."""
+        return list(self._routes)
 
-    # ------------------------------------------------------------------
     def submit(
         self,
         llrs: np.ndarray,
@@ -115,94 +107,29 @@ class MultiModcodService:
         deadline_s: Optional[float] = None,
         now: Optional[float] = None,
     ) -> int:
-        """Admit one frame under its MODCOD; returns a *global* id.
+        """Admit one frame under its MODCOD; returns its request id.
 
-        The frame must be sized for the MODCOD's code (``(n,)`` LLRs);
-        child services enforce that, so a mislabeled frame fails loudly
-        at the door rather than decoding under the wrong graph.
+        The frame must be sized for the MODCOD's code (``(n,)`` LLRs),
+        so a mislabeled frame fails loudly at the door rather than
+        decoding under the wrong graph.
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        service = self.service_for(modcod)
-        local = service.submit(
+        self.service_for(modcod)
+        return super().submit(
             llrs, deadline_s=deadline_s, now=now, modcod=modcod.label
         )
-        global_id = self._next_id
-        self._next_id += 1
-        self._routes[global_id] = (modcod.label, local)
-        self._global_of[(modcod.label, local)] = global_id
-        return global_id
-
-    def pump(self, now: Optional[float] = None) -> int:
-        """Pump every child; returns total batches dispatched."""
-        now = self.clock() if now is None else now
-        return sum(s.pump(now) for s in self._services.values())
-
-    def next_due(
-        self, now: Optional[float] = None
-    ) -> Optional[float]:
-        """Earliest child wake-up time (None = all idle)."""
-        now = self.clock() if now is None else now
-        dues = [
-            due
-            for due in (
-                s.next_due(now) for s in self._services.values()
-            )
-            if due is not None
-        ]
-        return min(dues) if dues else None
-
-    def poll(self) -> List[DecodeResult]:
-        """Drain every child, restamping results with global ids."""
-        out: List[DecodeResult] = []
-        for label, service in self._services.items():
-            for result in service.poll():
-                global_id = self._global_of.pop(
-                    (label, result.request_id)
-                )
-                self._routes.pop(global_id, None)
-                out.append(
-                    dc_replace(result, request_id=global_id)
-                )
-        return out
-
-    def flush(self, now: Optional[float] = None) -> None:
-        """Flush every child (decode everything queued)."""
-        for service in self._services.values():
-            service.flush(now)
-
-    def close(self) -> None:
-        """Close every child service (idempotent)."""
-        if self._closed:
-            return
-        for service in self._services.values():
-            service.close()
-        self._closed = True
-
-    def __enter__(self) -> "MultiModcodService":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     # ------------------------------------------------------------------
     def merged_snapshot(self) -> dict:
-        """Cross-MODCOD merge with per-label sub-views.
+        """The plane's metrics with per-MODCOD sub-views.
 
         Sub-views land under the snapshot's ``workers`` key (the
         :func:`~repro.obs.registry.merge_snapshots` convention); labels
         are MODCOD strings, so report worker-counting (which looks for
-        ``worker*`` labels) is unaffected.  When the service was built
-        with a parent ``registry``, the merge is folded into it too.
+        ``worker*`` labels) is unaffected.
         """
-        parts = {
-            label: reg.snapshot()
-            for label, reg in self._registries.items()
+        snapshot = self.registry.snapshot()
+        snapshot["workers"] = {
+            label: route.registry.snapshot()
+            for label, route in self._routes.items()
         }
-        snapshot = merge_snapshots(parts)
-        if self.registry is not None and self.registry.enabled:
-            self.registry.merge(
-                {k: v for k, v in snapshot.items() if k != "workers"}
-            )
         return snapshot

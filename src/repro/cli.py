@@ -430,6 +430,16 @@ def _parse_listen(text: str):
     return "127.0.0.1", int(text)
 
 
+def _fabric_workers_clash(args: argparse.Namespace) -> bool:
+    """True (with a one-line error) when ``--workers`` is set on a
+    fabric run, whose process count is ``--fabric-workers`` alone."""
+    if args.workers == 1:
+        return False
+    print(f"error: --workers {args.workers} does not apply to the fabric;"
+          " set its worker count with --fabric-workers", file=sys.stderr)
+    return True
+
+
 def _fabric_config(args: argparse.Namespace, serve_config):
     from .serve import FabricConfig
 
@@ -448,6 +458,8 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     from .obs.registry import MetricsRegistry
     from .serve import DecodeFabric, ServiceReport, serve_fabric
 
+    if _fabric_workers_clash(args):
+        return 2
     code = _build_serve_code(args)
     config = _serve_config(args)
     host, port = _parse_listen(args.listen)
@@ -550,6 +562,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     if args.connect is not None:
         return _cmd_loadgen_connect(args)
+    if args.fabric_workers is not None and _fabric_workers_clash(args):
+        return 2
     code = _build_serve_code(args)
     config = _serve_config(args)
     fabric = (

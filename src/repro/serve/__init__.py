@@ -14,7 +14,9 @@ from .api import (
     REASON_DEADLINE,
     REASON_QUEUE_FULL,
     REASON_SHUTDOWN,
+    REASON_WORKER_CRASH,
     STATUS_EXPIRED,
+    STATUS_FAILED,
     STATUS_OK,
     STATUS_REJECTED,
     DecodeRequest,
@@ -76,7 +78,9 @@ __all__ = [
     "REASON_DEADLINE",
     "REASON_QUEUE_FULL",
     "REASON_SHUTDOWN",
+    "REASON_WORKER_CRASH",
     "STATUS_EXPIRED",
+    "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_REJECTED",
     "ServeConfig",

@@ -23,12 +23,15 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 #: Queued but dropped before decode because its deadline passed.
 STATUS_EXPIRED = "expired"
+#: Dispatched, but its batch kept crashing the workers it ran on.
+STATUS_FAILED = "failed"
 
 # -- rejection / drop reasons ------------------------------------------
 REASON_QUEUE_FULL = "queue_full"
 REASON_DEADLINE = "deadline_expired"
 REASON_SHUTDOWN = "shutdown"
 REASON_BAD_FRAME = "bad_frame"
+REASON_WORKER_CRASH = "worker_crash"
 
 
 @dataclass
@@ -73,7 +76,9 @@ class ServeConfig:
     proceed on the submitting side, and completions are drained
     non-blocking — the software mirror of the paper's double-buffered
     I/O RAM (the core decodes frame ``k`` while frame ``k+1`` streams
-    in).  ``None`` (the default) resolves to 1 for the inline path and
+    in).  The pump never waits for the pool: with ``pipeline_depth``
+    batches in flight, due batches stay queued until one lands.
+    ``None`` (the default) resolves to 1 for the inline path and
     ``2 * workers`` for the pooled path; any depth produces results
     bit-identical to depth 1 — only wall-clock overlap changes.
     ``pipeline_depth > 1`` with ``workers == 1`` promotes the single
@@ -159,7 +164,8 @@ class DecodeResult:
     """Outcome of one request — decoded bits or a typed drop.
 
     ``status`` is one of :data:`STATUS_OK` / :data:`STATUS_REJECTED` /
-    :data:`STATUS_EXPIRED`; only :data:`STATUS_OK` results carry bits.
+    :data:`STATUS_EXPIRED` / :data:`STATUS_FAILED`; only
+    :data:`STATUS_OK` results carry bits.
     ``iteration_budget`` records the (possibly shed) budget the batch
     ran with, so callers can tell a full-quality decode from a degraded
     one even when both converge.

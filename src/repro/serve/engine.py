@@ -1,53 +1,73 @@
-"""The decode service: queue → micro-batcher → batched decoder.
+"""The decode service: one serve pump over inline or pooled decoders.
 
-:class:`DecodeService` turns the repo's batched decoders into a
-streaming service.  The design is a single-threaded event pump over an
-injected clock:
+:class:`DecodeService` is the repo's only serve loop.  It is a
+single-threaded event pump over an injected clock:
 
-* ``submit`` admits a request (or rejects it with a typed reason when
-  the bounded queue is full — backpressure, never unbounded growth);
-* ``pump`` is the event step: expire overdue requests, form every due
-  micro-batch (fill-or-timeout, see
-  :class:`~repro.serve.batcher.MicroBatcher`), decode it, and complete
-  results;
+* ``submit`` admits a frame into the bounded admission queue of its
+  *route* — the code that decodes it: one route for a single-code
+  service, one per MODCOD label on the mixed plane — or, under the
+  hash dispatch policy, into a queue pinned to its client's worker
+  lane.  A full queue rejects the frame with a typed reason
+  (backpressure, never unbounded growth);
+* ``pump`` is the event step: fold finished batches in, expire overdue
+  frames, form every due micro-batch (fill-or-timeout, see
+  :class:`~repro.serve.batcher.MicroBatcher`) and decode it;
 * ``poll`` hands finished :class:`~repro.serve.api.DecodeResult`\\ s
   back in completion order.
 
 Everything time-dependent takes the clock value from the pump caller
-(or the injected ``clock``), so the whole service is deterministic
-under a manual clock — the property the batcher/shedding tests lean on.
+(or the injected ``clock``), so the service is deterministic under a
+manual clock — the property the batcher/shedding tests lean on.
+
+Executors: without worker lanes the pump decodes inline.  Otherwise
+each :class:`Lane` is a :class:`~repro.sim.pool.PersistentPool` with an
+in-flight window, picked per batch by the dispatch policy
+(:mod:`repro.serve.dispatch`): a pooled service (``workers > 1``) is
+one N-process lane, the distributed fabric
+(:class:`~repro.serve.fabric.DecodeFabric`) is N one-process lanes.
+Workers host decoders, not services: a batch goes out as ``(route,
+LLRs, budgets)`` — the frames' LLR vectors, stacked by the worker — and
+comes back as ``(bits, converged, iterations)``; the parent records
+every metric.  Batches complete strictly in
+batch-sequence order, so results and metrics are deterministic for any
+lane count.
+
+Pipelining: up to ``window`` batches stay in flight per lane, so batch
+``k+1``'s formation and LLR prep overlap batch ``k``'s decode — the
+software analogue of the paper's double-buffered I/O RAM, where the
+core decodes one frame while the next streams in.  The pump never
+waits for a worker: while every window is full, due batches stay
+queued (where shedding and expiry still see them); ``flush`` waits.
+The strict merge makes the overlap invisible in the results: bits,
+statuses and order are identical to ``pipeline_depth=1`` for any depth.
+One caveat is inherent: deadline-capped *per-frame* budgets use the
+per-iteration cost EWMA, which updates at batch completion — a
+timing-dependent quantity on any real clock regardless of depth.
+
+Failures: a worker that dies (OOM-killed, segfaulted) fails its lane's
+in-flight batches.  The pump respawns the lane (``pool.worker_restart``)
+and redrives each batch (``fabric.chunks.redriven``) as the merge
+cursor reaches it.  A batch that crashes its worker a fourth time is
+poison: its frames complete ``failed`` (reason ``worker_crash``) and
+the pump keeps serving, so ``completed + rejected + expired + failed
+== submitted`` holds through any crash.
 
 Degradation is layered (cheapest first): converged frames freeze inside
 the batched decoder (free, always on); the iteration-budget controller
-sheds the per-batch budget as the queue fills (paper §2.2's saved
-iterations as a live knob); per-request deadlines expire queued frames
-before they waste decode time, and — on decoders with
+sheds the per-batch budget as the fullest admission queue fills (paper
+§2.2's saved iterations as a live knob); per-request deadlines expire
+queued frames before they waste decode time, and — on decoders with
 ``supports_frame_budgets`` — cap each frame's budget to what fits
 before its deadline using a measured per-iteration cost estimate;
 finally a full queue rejects at the door.
-
-With ``workers > 1`` batches are decoded on a
-:class:`~repro.sim.pool.PersistentPool` (created once, reused for every
-batch); completions are merged strictly in batch-sequence order, so
-metrics and result order are deterministic for any worker count.
-
-The pooled path is *pipelined*: up to ``config.pipeline_depth``
-micro-batches stay in flight at once, so batch ``k+1``'s LLR prep and
-batch ``k+2``'s formation overlap batch ``k``'s decode — the software
-analogue of the paper's double-buffered I/O RAM, where the core decodes
-one frame while the next streams in.  The strict batch-sequence merge
-makes the overlap invisible in the results: decoded bits, statuses and
-result order are identical to ``pipeline_depth=1`` for any depth (the
-inline/no-pool path degrades to depth 1).  One caveat is inherent:
-deadline-capped *per-frame* budgets use the per-iteration cost EWMA,
-which updates at batch completion — a quantity that is timing-dependent
-on any real clock regardless of depth.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import BrokenExecutor
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +79,9 @@ from ..sim.pool import PersistentPool
 from .api import (
     REASON_DEADLINE,
     REASON_QUEUE_FULL,
+    REASON_WORKER_CRASH,
     STATUS_EXPIRED,
+    STATUS_FAILED,
     STATUS_OK,
     STATUS_REJECTED,
     DecodeRequest,
@@ -67,6 +89,7 @@ from .api import (
     ServeConfig,
 )
 from .batcher import MicroBatcher
+from .dispatch import DispatchPolicy, make_dispatch
 from .policy import IterationBudgetController
 from .queue import BoundedRequestQueue
 
@@ -81,10 +104,14 @@ LATENCY_BUCKETS_MS = (
 #: EWMA weight of the newest per-iteration cost sample.
 _ITER_COST_ALPHA = 0.3
 
+#: Redrives a batch gets before its frames fail (it crashed that many
+#: workers plus one: poison, not bad luck).
+_MAX_REDRIVES = 3
+
 
 # ----------------------------------------------------------------------
-# Worker-side machinery for the pooled path (mirrors sim.parallel).
-_SERVE_WORKER: dict = {}
+# Worker side: each pool process holds one decoder per route.
+_WORKER: dict = {}
 
 
 def _decoder_params(config: ServeConfig) -> dict:
@@ -98,28 +125,62 @@ def _decoder_params(config: ServeConfig) -> dict:
     }
 
 
-def _build_serve_decoder(code: LdpcCode, params: dict):
-    return make_batch_decoder(
-        code,
-        schedule=params["schedule"],
-        normalization=params["normalization"],
-        segments=params["segments"],
-        fmt=params["fmt"],
-        channel_scale=params["channel_scale"],
-        backend=params["backend"],
-    )
+def _init_worker(routes: dict, params: dict) -> None:
+    """Pool initializer: build a decoder for every route known when
+    the worker starts (``routes`` is inherited through ``fork``)."""
+    _WORKER["params"] = params
+    _WORKER["decoders"] = {
+        key: make_batch_decoder(route.code, **params)
+        for key, route in routes.items()
+    }
 
 
-def _init_serve_worker(code: LdpcCode, params: dict) -> None:
-    _SERVE_WORKER["decoder"] = _build_serve_decoder(code, params)
+def _decode_task(key, recipe, frames: list, budgets) -> tuple:
+    """Pool entry point: decode one micro-batch of route ``key``.
 
-
-def _decode_batch_task(llrs: np.ndarray, budgets) -> tuple:
-    """Pool entry point: decode one micro-batch on the worker's decoder."""
-    result = _SERVE_WORKER["decoder"].decode_batch(
-        llrs, max_iterations=budgets, early_stop=True
+    ``frames`` are the batch's per-frame LLR vectors; the worker stacks
+    them itself.  A route added after this worker started is built here
+    on its first batch, from the route's picklable code ``recipe``.
+    """
+    decoders = _WORKER["decoders"]
+    decoder = decoders.get(key)
+    if decoder is None:
+        decoder = decoders[key] = make_batch_decoder(
+            recipe(), **_WORKER["params"]
+        )
+    result = decoder.decode_batch(
+        np.stack(frames), max_iterations=budgets, early_stop=True
     )
     return result.bits, result.converged, result.iterations
+
+
+@dataclass
+class Route:
+    """One decode configuration: the code a route's frames belong to."""
+
+    code: LdpcCode
+    #: Picklable zero-argument callable rebuilding ``code`` in a worker
+    #: that started before the route existed (``None`` for routes that
+    #: exist before any worker starts).
+    recipe: Optional[Callable[[], LdpcCode]] = None
+    #: Per-route metrics view, recorded next to the pump's own metrics
+    #: (the MODCOD plane's per-label breakdown); ``None`` = no view.
+    registry: Optional[MetricsRegistry] = None
+    #: Parent-side decoder, built only when batches decode inline.
+    decoder: object = None
+
+
+@dataclass
+class Lane:
+    """One worker lane: a pool, its in-flight window, its metrics view."""
+
+    pool: PersistentPool
+    #: Max batches in flight on this lane.
+    window: int
+    #: Where the decode-side metrics of this lane's batches land.
+    registry: MetricsRegistry
+    batches: int = 0  #: batches in flight
+    frames: int = 0  #: frames in flight (the least-loaded input)
 
 
 class DecodeService:
@@ -137,12 +198,13 @@ class DecodeService:
         Metrics sink; defaults to the process-wide registry.
     trace:
         Optional JSONL trace recorder; one ``serve_batch`` event per
-        decoded batch and one ``serve_drop`` event per reject/expiry.
+        decoded batch and one ``serve_drop`` event per dropped frame.
     clock:
         Monotonic-seconds callable; tests inject a manual clock.
     pool:
         Persistent worker pool for ``config.workers > 1``; created (and
-        owned) by the service when not supplied.
+        owned) by the service when not supplied.  A serial pool keeps
+        the inline path.
     """
 
     def __init__(
@@ -157,74 +219,71 @@ class DecodeService:
     ) -> None:
         self.code = code
         self.config = config if config is not None else ServeConfig()
-        self.registry = registry if registry is not None else get_registry()
+        self._init_pump(
+            self.config, {None: Route(code)},
+            registry=registry if registry is not None else get_registry(),
+            trace=trace, clock=clock, pool=pool,
+        )
+        #: The admission queue (the CLI's file mode paces on it).
+        self.queue = self._queues[None, None]
+        #: The pool behind the worker lane (``None`` when inline).
+        self._pool = self._lanes[0].pool if self._lanes else None
+
+    def _init_pump(
+        self,
+        serve: ServeConfig,
+        routes: Dict[Optional[str], Route],
+        *,
+        registry: MetricsRegistry,
+        trace: Optional[TraceRecorder],
+        clock,
+        lanes: Optional[List[Lane]] = None,
+        pool: Optional[PersistentPool] = None,
+        dispatch: Optional[DispatchPolicy] = None,
+    ) -> None:
+        """Set the pump up over ``routes`` and worker ``lanes`` (no
+        lanes = inline decode).  Without explicit lanes a pooled config
+        gets one lane over ``pool`` (created when not supplied).
+        :meth:`close` shuts down every lane's pool but a supplied one."""
+        if lanes is None:
+            lanes = _pool_lanes(serve, pool, registry, trace)
+        self._serve = serve
+        self.registry = registry
         self.trace = trace
         self.clock = clock
-        params = _decoder_params(self.config)
-        build_params = params
-        if (
-            self.config.instrument_kernels
-            and self.config.schedule.startswith("quantized")
-        ):
-            from ..decode.backend import instrument_backend
-
-            build_params = dict(
-                params,
-                backend=instrument_backend(
-                    self.config.backend, self.registry
-                ),
-            )
-        self.decoder = _build_serve_decoder(code, build_params)
-        self._frame_budgets_ok = bool(
-            getattr(self.decoder, "supports_frame_budgets", False)
-        )
-        self.queue = BoundedRequestQueue(self.config.queue_capacity)
-        self.batcher = MicroBatcher(
-            self.config.max_batch, self.config.max_linger_s
-        )
+        self.batcher = MicroBatcher(serve.max_batch, serve.max_linger_s)
         self.controller = IterationBudgetController(
-            self.config.max_iterations,
-            self.config.min_iterations,
-            self.config.shed_start,
+            serve.max_iterations, serve.min_iterations, serve.shed_start
         )
-        self._pool: Optional[PersistentPool] = None
-        self._owns_pool = False
-        requested_depth = self.config.pipeline_depth
-        # pipeline_depth > 1 with a single worker still wants a real
-        # child process — otherwise there is nothing to overlap with.
-        wants_pool = (
-            self.config.workers > 1
-            or (requested_depth or 1) > 1
-            or (pool is not None and not pool.serial)
+        #: Per-frame budgets need a decoder that takes them.
+        self._frame_budgets_ok = serve.schedule.startswith("quantized")
+        self._lanes = lanes
+        self._owned_pools = [
+            lane.pool for lane in lanes if lane.pool is not pool
+        ]
+        self.dispatch = dispatch or make_dispatch(
+            "least-loaded", max(1, len(lanes))
         )
-        if wants_pool:
-            if pool is None:
-                pool = PersistentPool(
-                    self.config.workers,
-                    label="serve engine",
-                    dedicated=self.config.workers == 1,
-                )
-                self._owns_pool = True
-            pool.configure(
-                _init_serve_worker,
-                (code, params),
-                key=("serve", id(code)) + tuple(
-                    (k, id(v) if k == "fmt" else v)
-                    for k, v in sorted(params.items())
-                ),
-            )
-            self._pool = None if pool.serial else pool
-        #: Resolved max batches in flight (1 on the inline path; the
-        #: config's ``None`` means ``2 * workers`` on the pooled path).
-        self.pipeline_depth = 1 if self._pool is None else (
-            requested_depth if requested_depth is not None
-            else 2 * self.config.workers
+        #: (route key, pinned lane or None) -> admission queue.
+        self._queues: Dict[tuple, BoundedRequestQueue] = {}
+        self._routes: Dict[Optional[str], Route] = {}
+        for key, route in routes.items():
+            self._add_route(key, route)
+        params = _decoder_params(serve)
+        key = ("serve",) + tuple(
+            (k, id(r.code)) for k, r in self._routes.items()
+        ) + tuple(
+            (k, id(v) if k == "fmt" else v) for k, v in sorted(params.items())
         )
-        self.registry.gauge("serve.pipeline.depth").set(self.pipeline_depth)
+        for lane in lanes:
+            lane.pool.configure(_init_worker, (self._routes, params), key=key)
+        #: Max batches in flight per lane (1 on the inline path).
+        self.pipeline_depth = lanes[0].window if lanes else 1
+        registry.gauge("serve.pipeline.depth").set(self.pipeline_depth)
         self._next_id = 0
         self._batch_seq = 0
         self._next_merge_seq = 0
-        #: In-flight pooled batches: seq -> (future, requests, meta).
+        #: In-flight batches: seq -> (future, requests, meta).
         self._pending: Dict[int, Tuple[object, List[DecodeRequest], dict]] = {}
         self._completed: List[DecodeResult] = []
         #: EWMA of seconds per batch iteration (deadline budgeting).
@@ -232,6 +291,27 @@ class DecodeService:
         #: External queue-pressure hint (see :meth:`set_load_hint`).
         self._load_hint = 0.0
         self._closed = False
+
+    def _add_route(self, key: Optional[str], route: Route) -> None:
+        """Register a route and its shared admission queue; on the
+        inline path, build its decoder now."""
+        if not self._lanes:
+            backend = self._serve.backend
+            if (
+                self._serve.instrument_kernels
+                and self._serve.schedule.startswith("quantized")
+            ):
+                from ..decode.backend import instrument_backend
+
+                backend = instrument_backend(backend, self.registry)
+            route.decoder = make_batch_decoder(
+                route.code,
+                **dict(_decoder_params(self._serve), backend=backend),
+            )
+        self._routes[key] = route
+        self._queues[key, None] = BoundedRequestQueue(
+            self._serve.queue_capacity
+        )
 
     # ------------------------------------------------------------------
     # Submission
@@ -243,6 +323,7 @@ class DecodeService:
         deadline_s: Optional[float] = None,
         now: Optional[float] = None,
         modcod: Optional[str] = None,
+        client: Optional[str] = None,
     ) -> int:
         """Admit one frame of channel LLRs; returns its request id.
 
@@ -254,94 +335,87 @@ class DecodeService:
         scheduled offered-rate instants, so queueing delay includes
         time the pump spent decoding).  ``modcod`` labels the frame for
         per-MODCOD accounting (``serve.modcod.<label>.*`` counters) and
-        is echoed on the result; it does not change decoding — this
-        service still serves exactly one code/config.
+        is echoed on the result; it selects the route when one is
+        registered under that label.  ``client`` is the affinity key
+        of the hash dispatch policy.
         """
         if self._closed:
             raise RuntimeError("service is closed")
         with self.registry.timer("serve.stage.enqueue"):
-            return self._submit(
-                llrs, deadline_s=deadline_s, now=now, modcod=modcod
+            key = modcod if modcod in self._routes else None
+            route = self._routes[key]
+            llrs = np.asarray(llrs, dtype=np.float64)
+            if llrs.shape != (route.code.n,):
+                raise ValueError(f"expected shape ({route.code.n},) LLRs")
+            now = self.clock() if now is None else now
+            request_id = self._next_id
+            self._next_id += 1
+            if deadline_s is None and self._serve.deadline_ms is not None:
+                deadline_s = now + self._serve.deadline_ms / 1e3
+            request = DecodeRequest(
+                request_id=request_id,
+                llrs=llrs,
+                arrival_s=now,
+                deadline_s=deadline_s,
+                client=client,
+                modcod=modcod,
             )
-
-    def _submit(
-        self,
-        llrs: np.ndarray,
-        *,
-        deadline_s: Optional[float],
-        now: Optional[float],
-        modcod: Optional[str] = None,
-    ) -> int:
-        llrs = np.asarray(llrs, dtype=np.float64)
-        if llrs.shape != (self.code.n,):
-            raise ValueError(f"expected shape ({self.code.n},) LLRs")
-        now = self.clock() if now is None else now
-        request_id = self._next_id
-        self._next_id += 1
-        if deadline_s is None and self.config.deadline_ms is not None:
-            deadline_s = now + self.config.deadline_ms / 1e3
-        request = DecodeRequest(
-            request_id=request_id,
-            llrs=llrs,
-            arrival_s=now,
-            deadline_s=deadline_s,
-            modcod=modcod,
-        )
-        self.registry.counter("serve.requests.submitted").inc()
-        if modcod is not None:
-            self.registry.counter(
-                f"serve.modcod.{modcod}.submitted"
-            ).inc()
-        if not self.queue.offer(request):
-            self.registry.counter("serve.requests.rejected").inc()
-            self._drop(request, STATUS_REJECTED, REASON_QUEUE_FULL, now)
+            views = self._views(route)
+            for reg in views:
+                reg.counter("serve.requests.submitted").inc()
+                if modcod is not None:
+                    reg.counter(f"serve.modcod.{modcod}.submitted").inc()
+            pin = self.dispatch.route(request)
+            queue = self._queues.get((key, pin))
+            if queue is None:
+                queue = self._queues[key, pin] = BoundedRequestQueue(
+                    self._serve.queue_capacity
+                )
+            if not queue.offer(request):
+                self._drop(
+                    request, views, STATUS_REJECTED, REASON_QUEUE_FULL, now
+                )
+                return request_id
+            self.registry.gauge("serve.queue.depth").set(self._depth())
             return request_id
-        self.registry.gauge("serve.queue.depth").set(len(self.queue))
-        return request_id
 
     # ------------------------------------------------------------------
     # Event pump
     # ------------------------------------------------------------------
     def pump(self, now: Optional[float] = None) -> int:
-        """Run the service forward: expire, batch, decode.  Returns the
-        number of batches dispatched.
-
-        On the pooled path at most :attr:`pipeline_depth` batches are in
-        flight: forming (and LLR-prepping) a batch past the depth first
-        block-collects the oldest in-flight batch, and the pump tail
-        drains completions non-blocking — so host-side prep/completion
-        of batch ``k+1`` overlaps the workers' decode of batch ``k``.
-        """
+        """Run the service forward: collect, expire, batch, decode.
+        Returns the number of batches dispatched."""
         now = self.clock() if now is None else now
         with self.registry.timer("serve.stage.pump"):
+            self._heal()
+            self._collect(block=False)
             self._expire(now)
-            dispatched = 0
-            while self.batcher.due(self.queue, now):
-                if (
-                    self._pool is not None
-                    and len(self._pending) >= self.pipeline_depth
-                ):
-                    self._collect(block=True, limit=1)
-                self._dispatch_batch(now)
-                dispatched += 1
-                now = self.clock() if self._pool is None else now
-                self._expire(now)
+            dispatched = self._dispatch_due(now, force=False)
             self._collect(block=False)
             self.registry.gauge("serve.pipeline.backlog").set(
-                self.batcher.due_count(self.queue, now)
+                sum(
+                    self.batcher.due_count(queue, now)
+                    for queue in self._queues.values()
+                )
             )
         return dispatched
 
     def next_due(self, now: Optional[float] = None) -> Optional[float]:
         """When the pump next has work (None = idle until a submit).
 
-        With pooled batches in flight the answer is ``now`` — the pump
-        should keep collecting completions.
+        With batches in flight the answer is ``now`` — the pump should
+        keep collecting completions.
         """
         now = self.clock() if now is None else now
         if self._pending:
             return now
-        return self.batcher.next_due(self.queue, now)
+        dues = [
+            due for due in (
+                self.batcher.next_due(queue, now)
+                for queue in self._queues.values()
+            ) if due is not None
+        ]
+        return min(dues, default=None)
 
     def poll(self) -> List[DecodeResult]:
         """Drain and return results completed since the last poll."""
@@ -352,13 +426,10 @@ class DecodeService:
     def set_load_hint(self, fill: float) -> None:
         """Install an external queue-pressure signal in ``[0, 1]``.
 
-        A distributed front-end (the decode fabric) keeps each worker's
-        local queue nearly empty by construction — one micro-batch in,
-        decode, results out — so the local fill fraction never reflects
-        system overload.  The hint lets the fabric forward its admission
-        queue fill; the iteration-budget controller sheds on the
-        *maximum* of local fill and hint, so standalone behaviour is
-        unchanged (the hint defaults to 0).
+        A front-end that queues work ahead of this service can forward
+        its own fill; the iteration-budget controller sheds on the
+        *maximum* of the admission queues' fill and the hint, so
+        standalone behaviour is unchanged (the hint defaults to 0).
         """
         if not 0.0 <= fill:
             raise ValueError("load hint must be non-negative")
@@ -368,33 +439,33 @@ class DecodeService:
     def flush(self, now: Optional[float] = None) -> None:
         """Decode everything queued (ignoring linger) and wait for it.
 
-        Respects :attr:`pipeline_depth` while draining (the depth bound
-        holds even at shutdown), then waits for every in-flight batch.
+        The window bound holds while draining: with every window full
+        the flush waits for the oldest batch, then places the rest.
         """
         now = self.clock() if now is None else now
         with self.registry.timer("serve.stage.pump"):
-            self._expire(now)
-            while len(self.queue):
-                if (
-                    self._pool is not None
-                    and len(self._pending) >= self.pipeline_depth
-                ):
-                    self._collect(block=True, limit=1)
-                self._dispatch_batch(now)
-                now = self.clock() if self._pool is None else now
+            while True:
+                self._collect(block=False)
+                self._expire(now)
+                self._dispatch_due(now, force=True)
+                if not self._depth():
+                    break
+                self._collect(block=True, limit=1)
             self._collect(block=True)
 
     def close(self) -> None:
         """Flush outstanding work, flush the trace sink, and release
-        the pool (idempotent) — no tail events are lost at shutdown."""
+        owned pools (idempotent) — no tail events are lost at shutdown."""
         if self._closed:
             return
-        self.flush()
-        if self._owns_pool and self._pool is not None:
-            self._pool.shutdown()
-        if self.trace is not None:
-            self.trace.flush()
-        self._closed = True
+        try:
+            self.flush()
+        finally:
+            for pool in self._owned_pools:
+                pool.shutdown()
+            if self.trace is not None:
+                self.trace.flush()
+            self._closed = True
 
     def __enter__(self) -> "DecodeService":
         return self
@@ -404,15 +475,46 @@ class DecodeService:
         return False
 
     # ------------------------------------------------------------------
+    # Reporting
+    # ------------------------------------------------------------------
+    def merged_snapshot(self) -> dict:
+        """Every metric the service recorded, as one snapshot (the
+        fabric and the MODCOD plane add per-worker / per-MODCOD views)."""
+        return self.registry.snapshot()
+
+    def snapshot(self) -> dict:
+        """Alias for :meth:`merged_snapshot` — lets the service stand
+        in for a registry anywhere only snapshots are read (the
+        snapshot publisher, the ``/metrics`` HTTP server)."""
+        return self.merged_snapshot()
+
+    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _views(self, route: Route, lane: Optional[Lane] = None) -> tuple:
+        """The registries a frame's metrics land in: its lane's view
+        once it decodes on a lane (else the pump's registry), plus its
+        route's view when the route keeps one."""
+        base = self.registry if lane is None else lane.registry
+        return (base,) if route.registry is None else (base, route.registry)
+
+    def _depth(self) -> int:
+        return sum(len(queue) for queue in self._queues.values())
+
     def _drop(
         self,
         request: DecodeRequest,
+        views: tuple,
         status: str,
         reason: str,
         now: float,
     ) -> None:
+        """The single drop path: count, trace and complete a frame that
+        will not be decoded (rejected, expired or failed)."""
+        for reg in views:
+            reg.counter(f"serve.requests.{status}").inc()
+            if request.modcod is not None:
+                reg.counter(f"serve.modcod.{request.modcod}.dropped").inc()
         self._completed.append(
             DecodeResult(
                 request_id=request.request_id,
@@ -422,10 +524,6 @@ class DecodeService:
                 modcod=request.modcod,
             )
         )
-        if request.modcod is not None:
-            self.registry.counter(
-                f"serve.modcod.{request.modcod}.dropped"
-            ).inc()
         if self.trace is not None:
             self.trace.event(
                 "serve_drop",
@@ -437,10 +535,52 @@ class DecodeService:
 
     def _expire(self, now: float) -> None:
         with self.registry.timer("serve.stage.expire"):
-            for request in self.queue.expire(now):
-                self.registry.counter("serve.requests.expired").inc()
-                self._drop(request, STATUS_EXPIRED, REASON_DEADLINE, now)
-            self.registry.gauge("serve.queue.depth").set(len(self.queue))
+            for (key, _pin), queue in self._queues.items():
+                views = self._views(self._routes[key])
+                for request in queue.expire(now):
+                    self._drop(
+                        request, views, STATUS_EXPIRED, REASON_DEADLINE, now
+                    )
+            self.registry.gauge("serve.queue.depth").set(self._depth())
+
+    def _heal(self) -> None:
+        """Respawn lanes whose worker died idle (a lane with batches in
+        flight heals on the collect path, by respawn and redrive)."""
+        for lane in self._lanes:
+            if lane.batches == 0 and lane.pool.broken:
+                lane.pool.respawn()
+
+    def _free_lane(self, pin: Optional[int]) -> Optional[int]:
+        """The lane for a batch from a queue pinned to ``pin`` (any
+        lane when ``None``), or ``None`` while no such lane has room."""
+        lanes = self._lanes
+        if pin is not None:
+            return pin if lanes[pin].batches < lanes[pin].window else None
+        eligible = [
+            i for i, lane in enumerate(lanes) if lane.batches < lane.window
+        ]
+        if not eligible:
+            return None
+        return self.dispatch.select([lane.frames for lane in lanes], eligible)
+
+    def _dispatch_due(self, now: float, *, force: bool) -> int:
+        """Form and decode every due batch (``force`` ignores the
+        linger: the flush path).  On lanes a batch waits queued while
+        no lane it may use has window room."""
+        dispatched = 0
+        for (key, pin), queue in self._queues.items():
+            while len(queue) and (force or self.batcher.due(queue, now)):
+                if not self._lanes:
+                    self._decode_inline(key, queue, now)
+                    now = self.clock()
+                    self._expire(now)
+                else:
+                    index = self._free_lane(pin)
+                    if index is None:
+                        break
+                    self._send(key, queue, index, now)
+                dispatched += 1
+        return dispatched
 
     def _frame_budget_vector(
         self,
@@ -476,28 +616,23 @@ class DecodeService:
             return batch_budget, 0
         return budgets, capped
 
-    def _dispatch_batch(self, now: float) -> None:
+    def _form_batch(self, queue: BoundedRequestQueue, now: float):
+        """Take one batch off ``queue`` and prep it for decode."""
         with self.registry.timer("serve.stage.batch_form"):
-            fill = max(self.queue.fill, self._load_hint)
+            fill = max(
+                max(q.fill for q in self._queues.values()), self._load_hint
+            )
             batch_budget = self.controller.budget(fill)
-            requests = self.batcher.take(self.queue)
-            self.registry.gauge("serve.queue.depth").set(len(self.queue))
-            occupancy = len(requests)
-            self.registry.histogram(
-                "serve.batch.occupancy", OCCUPANCY_BUCKETS
-            ).observe(occupancy)
-            self.registry.gauge("serve.batch.budget").set(batch_budget)
-            shed = (self.config.max_iterations - batch_budget) * occupancy
-            if shed:
-                self.registry.counter("serve.iterations.shed").inc(shed)
-            ttfb = self.registry.timer("serve.request.ttfb")
-            for request in requests:
-                ttfb.record_ns(int((now - request.arrival_s) * 1e9))
+            requests = self.batcher.take(queue)
+            self.registry.gauge("serve.queue.depth").set(self._depth())
         with self.registry.timer("serve.stage.llr_prep"):
             budgets, deadline_capped = self._frame_budget_vector(
                 requests, batch_budget, now
             )
-            llrs = np.stack([r.llrs for r in requests])
+            frames = [r.llrs for r in requests]
+            # A lane's worker stacks the frames itself, so the parent
+            # holds no second copy of an in-flight batch.
+            llrs = frames if self._lanes else np.stack(frames)
         seq = self._batch_seq
         self._batch_seq += 1
         meta = {
@@ -506,47 +641,53 @@ class DecodeService:
             "fill": fill,
             "deadline_capped": deadline_capped,
         }
-        if self._pool is not None:
-            # Submission (argument pickling into the worker pipe) is its
-            # own stage; the decode stage's busy time is recorded at
-            # collect, once the batch's pool round-trip is known.
-            with self.registry.timer("serve.stage.dispatch"):
-                future = self._pool.submit(
-                    _decode_batch_task, llrs, budgets
-                )
-            self._pending[seq] = (future, requests, meta)
-            self.registry.gauge("serve.pipeline.inflight").set(
-                len(self._pending)
+        return seq, requests, llrs, budgets, meta
+
+    def _decode_inline(
+        self, key: Optional[str], queue: BoundedRequestQueue, now: float
+    ) -> None:
+        seq, requests, llrs, budgets, meta = self._form_batch(queue, now)
+        route = self._routes[key]
+        with self.registry.timer("serve.stage.decode") as timer:
+            result = route.decoder.decode_batch(
+                llrs, max_iterations=budgets, early_stop=True
             )
-            return
-        with self.registry.timer("serve.stage.decode"), \
-                self.registry.timer("serve.batch.decode") as timer:
-            result = self.decoder.decode_batch(
-                llrs,
-                max_iterations=(
-                    budgets if self._frame_budgets_ok else int(
-                        budgets if np.ndim(budgets) == 0
-                        else np.min(budgets)
-                    )
-                ),
-                early_stop=True,
-            )
-        self._finish_batch(
-            seq, requests, meta,
+        self._next_merge_seq = seq + 1
+        self._complete(
+            seq, self._views(route), requests, meta,
             result.bits, result.converged, result.iterations,
             decode_s=timer.last_s,
         )
 
-    def _collect(
-        self, block: bool, limit: Optional[int] = None
+    def _send(
+        self,
+        key: Optional[str],
+        queue: BoundedRequestQueue,
+        index: int,
+        now: float,
     ) -> None:
-        """Fold finished pooled batches in, strictly in sequence order.
+        """Ship one batch to lane ``index``.  Submission (argument
+        pickling into the worker pipe) is its own stage; the decode
+        stage's busy time is recorded at collect."""
+        seq, requests, llrs, budgets, meta = self._form_batch(queue, now)
+        lane = self._lanes[index]
+        meta.update(lane=index, route=key)
+        meta["task"] = (key, self._routes[key].recipe, llrs, budgets)
+        with self.registry.timer("serve.stage.dispatch"):
+            future = lane.pool.submit(_decode_task, *meta["task"])
+        self._pending[seq] = (future, requests, meta)
+        lane.batches += 1
+        lane.frames += len(requests)
+        self.registry.gauge("serve.pipeline.inflight").set(len(self._pending))
 
-        ``limit`` folds at most that many batches (the pump's depth
-        gate frees exactly one slot).  The blocking wait on the oldest
-        future sits *outside* the ``collect`` stage span: waiting for a
-        worker is pipeline stall, not collect work, and counting it as
-        a stage would double-book the decode busy time recorded below.
+    def _collect(self, *, block: bool, limit: Optional[int] = None) -> None:
+        """Fold finished batches in, strictly in sequence order.
+
+        ``limit`` folds at most that many batches (the flush waits for
+        one slot at a time).  A batch whose worker died is redriven, or
+        failed once it has used up its redrives.  The blocking wait sits
+        *outside* the ``collect`` stage span: waiting for a worker is
+        pipeline stall, not collect work.
         """
         folded = 0
         while self._next_merge_seq in self._pending:
@@ -556,107 +697,181 @@ class DecodeService:
             future, requests, meta = self._pending[seq]
             if not block and not future.done():
                 return
-            bits, converged, iterations = future.result()
-            # Service time on the pooled path is submission-to-merge
-            # (includes queueing on the pool), on this clock.  The same
-            # span is the decode stage's *busy* time: at depth > 1 the
-            # per-stage busy sums may exceed the pump wall — that excess
-            # is exactly the measured overlap (see repro.obs.profile).
-            decode_s = self.clock() - meta["formed_s"]
-            decode_ns = max(0, int(decode_s * 1e9))
-            self.registry.timer("serve.batch.decode").record_ns(decode_ns)
-            self.registry.timer("serve.stage.decode").record_ns(decode_ns)
+            try:
+                outcome = future.result()
+            except BrokenExecutor:
+                if self._redrive(seq):
+                    continue
+                outcome = None
+            lane = self._lanes[meta["lane"]]
+            views = self._views(self._routes[meta["route"]], lane)
             with self.registry.timer("serve.stage.collect"):
                 del self._pending[seq]
+                self._next_merge_seq = seq + 1
+                lane.batches -= 1
+                lane.frames -= len(requests)
                 self.registry.gauge("serve.pipeline.inflight").set(
                     len(self._pending)
                 )
-            self._finish_batch(
-                seq, requests, meta,
-                bits, converged, iterations, decode_s=decode_s,
-            )
             folded += 1
-
-    def _finish_batch(
-        self,
-        seq: int,
-        requests: List[DecodeRequest],
-        meta: dict,
-        bits: np.ndarray,
-        converged: np.ndarray,
-        iterations: np.ndarray,
-        decode_s: float,
-    ) -> None:
-        with self.registry.timer("serve.stage.complete"):
-            self._complete_batch(
-                seq, requests, meta, bits, converged, iterations, decode_s
+            if outcome is None:
+                now = self.clock()
+                for request in requests:
+                    self._drop(
+                        request, views, STATUS_FAILED, REASON_WORKER_CRASH,
+                        now,
+                    )
+                continue
+            # Service time on a lane is submission-to-merge (includes
+            # waiting in the lane), on this clock.  The same span is the
+            # decode stage's *busy* time: with several batches in flight
+            # the per-stage busy sums may exceed the pump wall — that
+            # excess is exactly the measured overlap (repro.obs.profile).
+            decode_s = self.clock() - meta["formed_s"]
+            self.registry.timer("serve.stage.decode").record_ns(
+                max(0, int(decode_s * 1e9))
             )
+            self._complete(seq, views, requests, meta, *outcome, decode_s)
 
-    def _complete_batch(
-        self,
-        seq: int,
-        requests: List[DecodeRequest],
-        meta: dict,
-        bits: np.ndarray,
-        converged: np.ndarray,
-        iterations: np.ndarray,
-        decode_s: float,
-    ) -> None:
-        self._next_merge_seq = max(self._next_merge_seq, seq + 1)
-        done = self.clock()
-        occupancy = len(requests)
-        total_iters = int(iterations.sum())
-        self.registry.counter("serve.batches").inc()
-        self.registry.counter("serve.requests.completed").inc(occupancy)
-        self.registry.counter("serve.iterations.executed").inc(total_iters)
-        max_iters = int(iterations.max()) if occupancy else 0
-        if max_iters > 0 and decode_s > 0:
-            sample = decode_s / max_iters
-            if self._iter_cost_s is None:
-                self._iter_cost_s = sample
-            else:
-                self._iter_cost_s += _ITER_COST_ALPHA * (
-                    sample - self._iter_cost_s
-                )
-        latency_h = self.registry.histogram(
-            "serve.request.latency_ms", LATENCY_BUCKETS_MS
-        )
-        queue_h = self.registry.histogram(
-            "serve.request.queue_ms", LATENCY_BUCKETS_MS
-        )
-        for i, request in enumerate(requests):
-            latency = done - request.arrival_s
-            queued = meta["formed_s"] - request.arrival_s
-            latency_h.observe(latency * 1e3)
-            queue_h.observe(queued * 1e3)
-            if request.modcod is not None:
-                self.registry.counter(
-                    f"serve.modcod.{request.modcod}.completed"
-                ).inc()
-            self._completed.append(
-                DecodeResult(
-                    request_id=request.request_id,
-                    status=STATUS_OK,
-                    bits=bits[i],
-                    converged=bool(converged[i]),
-                    iterations=int(iterations[i]),
-                    iteration_budget=meta["budget"],
-                    batch_seq=seq,
-                    batch_occupancy=occupancy,
-                    latency_s=latency,
-                    queued_s=queued,
-                    modcod=request.modcod,
-                )
-            )
+    def _redrive(self, seq: int) -> bool:
+        """Respawn the dead lane of batch ``seq`` and resubmit the batch
+        to it; ``False`` once the batch has used up its redrives.
+
+        The batch's metrics commit only with its results, so a redriven
+        batch is counted once, as if the crash never happened — only
+        latency shows the scar.
+        """
+        _future, requests, meta = self._pending[seq]
+        lane = self._lanes[meta["lane"]]
+        # One death fails every in-flight batch of the lane; respawn
+        # once and redrive each as the merge cursor reaches it.
+        if lane.pool.broken:
+            lane.pool.respawn()
+        meta["redrives"] = meta.get("redrives", 0) + 1
+        if meta["redrives"] > _MAX_REDRIVES:
+            return False
+        self.registry.counter("fabric.chunks.redriven").inc()
         if self.trace is not None:
             self.trace.event(
-                "serve_batch",
+                "serve_redrive",
                 seq=seq,
-                occupancy=occupancy,
-                budget=meta["budget"],
-                fill=round(meta["fill"], 4),
-                deadline_capped=meta["deadline_capped"],
-                converged=int(np.asarray(converged).sum()),
-                iterations=total_iters,
-                decode_s=round(decode_s, 6),
+                lane=meta["lane"],
+                occupancy=len(requests),
             )
+        future = lane.pool.submit(_decode_task, *meta["task"])
+        self._pending[seq] = (future, requests, meta)
+        return True
+
+    def _complete(
+        self,
+        seq: int,
+        views: tuple,
+        requests: List[DecodeRequest],
+        meta: dict,
+        bits: np.ndarray,
+        converged: np.ndarray,
+        iterations: np.ndarray,
+        decode_s: float,
+    ) -> None:
+        """Record one decoded batch in ``views`` and complete its frames."""
+        with self.registry.timer("serve.stage.complete"):
+            done = self.clock()
+            occupancy = len(requests)
+            total_iters = int(iterations.sum())
+            max_iters = int(iterations.max()) if occupancy else 0
+            if max_iters > 0 and decode_s > 0:
+                sample = decode_s / max_iters
+                if self._iter_cost_s is None:
+                    self._iter_cost_s = sample
+                else:
+                    self._iter_cost_s += _ITER_COST_ALPHA * (
+                        sample - self._iter_cost_s
+                    )
+            budget = meta["budget"]
+            shed = (self._serve.max_iterations - budget) * occupancy
+            waits = [meta["formed_s"] - r.arrival_s for r in requests]
+            latencies = [done - r.arrival_s for r in requests]
+            for reg in views:
+                reg.counter("serve.batches").inc()
+                reg.counter("serve.requests.completed").inc(occupancy)
+                reg.counter("serve.iterations.executed").inc(total_iters)
+                if shed:
+                    reg.counter("serve.iterations.shed").inc(shed)
+                reg.gauge("serve.batch.budget").set(budget)
+                reg.histogram(
+                    "serve.batch.occupancy", OCCUPANCY_BUCKETS
+                ).observe(occupancy)
+                reg.timer("serve.batch.decode").record_ns(
+                    max(0, int(decode_s * 1e9))
+                )
+                latency_h = reg.histogram(
+                    "serve.request.latency_ms", LATENCY_BUCKETS_MS
+                )
+                queue_h = reg.histogram(
+                    "serve.request.queue_ms", LATENCY_BUCKETS_MS
+                )
+                ttfb = reg.timer("serve.request.ttfb")
+                for request, wait, latency in zip(requests, waits, latencies):
+                    latency_h.observe(latency * 1e3)
+                    queue_h.observe(wait * 1e3)
+                    ttfb.record_ns(int(wait * 1e9))
+                    if request.modcod is not None:
+                        reg.counter(
+                            f"serve.modcod.{request.modcod}.completed"
+                        ).inc()
+            for i, request in enumerate(requests):
+                self._completed.append(
+                    DecodeResult(
+                        request_id=request.request_id,
+                        status=STATUS_OK,
+                        bits=bits[i],
+                        converged=bool(converged[i]),
+                        iterations=int(iterations[i]),
+                        iteration_budget=budget,
+                        batch_seq=seq,
+                        batch_occupancy=occupancy,
+                        latency_s=latencies[i],
+                        queued_s=waits[i],
+                        modcod=request.modcod,
+                    )
+                )
+            if self.trace is not None:
+                self.trace.event(
+                    "serve_batch",
+                    seq=seq,
+                    occupancy=occupancy,
+                    budget=budget,
+                    fill=round(meta["fill"], 4),
+                    deadline_capped=meta["deadline_capped"],
+                    converged=int(np.asarray(converged).sum()),
+                    iterations=total_iters,
+                    decode_s=round(decode_s, 6),
+                )
+
+
+def _pool_lanes(
+    config: ServeConfig,
+    pool: Optional[PersistentPool],
+    registry: MetricsRegistry,
+    trace: Optional[TraceRecorder],
+) -> List[Lane]:
+    """The worker lane of a pooled service: ``pool`` (created when
+    ``workers > 1`` or ``pipeline_depth > 1``) unless it runs serially.
+
+    ``pipeline_depth > 1`` with a single worker still wants a real
+    child process — otherwise there is nothing to overlap with.  The
+    window defaults to ``2 * workers``.
+    """
+    depth = config.pipeline_depth
+    if pool is None and (config.workers > 1 or (depth or 1) > 1):
+        pool = PersistentPool(
+            config.workers,
+            label="serve engine",
+            dedicated=config.workers == 1,
+            registry=registry,
+            trace=trace,
+        )
+    if pool is None or pool.serial:
+        return []
+    window = depth if depth is not None else 2 * config.workers
+    return [Lane(pool, window, registry)]

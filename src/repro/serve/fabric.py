@@ -1,38 +1,38 @@
 """The distributed decode fabric: one front door, N decode workers.
 
-:class:`DecodeFabric` scales the single-process
-:class:`~repro.serve.engine.DecodeService` across CPU cores while
-keeping its contract: same ``submit → pump → poll → flush`` API, same
-typed results, same metric names, deterministic accounting.  The layout
+:class:`DecodeFabric` is the serve pump of
+:class:`~repro.serve.engine.DecodeService` configured as N one-process
+worker lanes — same ``submit → pump → poll → flush`` API, same typed
+results, same metric names, deterministic accounting.  The layout
 mirrors the paper's hardware decomposition — one admission stage
 feeding parallel functional units — lifted to processes:
 
-* the **fabric** (this process) owns admission: a shared bounded lane
-  plus one pinned lane per worker, the fill-or-timeout micro-batcher,
-  deadline expiry while queued, and rejection at the door;
+* the **pump** (this process) owns admission: a shared bounded queue
+  plus, under the hash policy, one queue pinned to each worker, the
+  fill-or-timeout micro-batcher, deadline expiry while queued, and
+  rejection at the door;
 * each **worker** is a dedicated child process (a one-worker
-  :class:`~repro.sim.pool.PersistentPool`) running its *own*
-  :class:`DecodeService` over its own
-  :class:`~repro.obs.registry.MetricsRegistry`;
+  :class:`~repro.sim.pool.PersistentPool`) holding a decoder;
 * a ready micro-batch ("chunk") travels to a worker chosen by the
-  dispatch policy (:mod:`repro.serve.dispatch`), is decoded there, and
-  comes back as typed results **plus the worker's registry delta for
-  exactly that chunk** — metrics travel with the work, so merged
-  accounting stays exact even across worker crashes.
+  dispatch policy (:mod:`repro.serve.dispatch`) among those with window
+  room, is decoded there, and comes back as bits.  The pump records
+  the chunk's decode-side metrics in that worker's view, so
+  :meth:`DecodeFabric.merged_snapshot` has a ``fabric`` admission view
+  plus one ``worker<i>`` view per worker.
 
-Failure semantics: a worker that dies mid-chunk (OOM-killed,
-segfaulted) fails that chunk's future; the fabric respawns the worker
-under the same configuration (``pool.worker_restart``) and **redrives**
-the chunk to it (``fabric.chunks.redriven``).  The dead worker's
-partial metrics never merged, and the redriven decode recounts them, so
-``completed + rejected + expired == submitted`` holds through crashes.
+Failure semantics (the pump's, see :mod:`repro.serve.engine`): a
+worker that dies mid-chunk fails that chunk's future; the pump respawns
+the worker (``pool.worker_restart``) and redrives the chunk to it
+(``fabric.chunks.redriven``).  Metrics commit only with results, so
+``completed + rejected + expired + failed == submitted`` holds through
+crashes; a chunk that crashes its worker a fourth time fails its own
+frames and nothing else.
 
-Determinism: chunks complete in dispatch-sequence order (the engine's
-strict-merge rule, lifted fabric-wide), the dispatch policies are pure
-functions of the request schedule, and each chunk decodes as one batch
-with the composition the fabric formed — so with shedding neutral the
-decoded bits are identical to the single-service path for any worker
-count.
+Determinism: chunks complete in dispatch-sequence order, the dispatch
+policies are pure functions of the request schedule, and each chunk
+decodes as one batch with the composition the pump formed — so with
+shedding neutral the decoded bits are identical to the single-service
+path for any worker count.
 """
 
 from __future__ import annotations
@@ -40,30 +40,16 @@ from __future__ import annotations
 import os
 import signal
 import time
-from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 from ..codes.construction import LdpcCode
-from ..obs.publish import snapshot_delta
 from ..obs.registry import MetricsRegistry, get_registry, merge_snapshots
 from ..obs.trace import TraceRecorder
 from ..sim.pool import PersistentPool
-from .api import (
-    REASON_QUEUE_FULL,
-    REASON_DEADLINE,
-    STATUS_EXPIRED,
-    STATUS_REJECTED,
-    DecodeRequest,
-    DecodeResult,
-    ServeConfig,
-)
-from .batcher import MicroBatcher
+from .api import ServeConfig
 from .dispatch import DISPATCH_POLICIES, make_dispatch
-from .engine import OCCUPANCY_BUCKETS
-from .queue import BoundedRequestQueue
+from .engine import DecodeService, Lane, Route
 from .report import ServiceReport
 
 
@@ -76,15 +62,14 @@ class FabricConfig:
     round-trip without letting any worker hoard the backlog).  When the
     embedded serve config asks for a deeper pipeline
     (``serve.pipeline_depth > window``) the fabric widens each worker's
-    window to match, so every worker runs a pipelined service: the
-    fabric preps and ships chunk ``k+1`` while the worker decodes
-    chunk ``k``, exactly like the single-service pipelined pump.
+    window to match: the pump preps and ships chunk ``k+1`` while the
+    worker decodes chunk ``k``, exactly like the pooled service.
     ``dispatch`` names a policy from
     :data:`~repro.serve.dispatch.DISPATCH_POLICIES`; ``hash_replicas``
     sizes the consistent-hash ring.  All batching/degradation/decoder
     knobs stay in the embedded :class:`~repro.serve.api.ServeConfig`
-    (its ``workers`` field is ignored here — fabric workers each run a
-    serial decode; parallelism comes from the fabric itself).
+    (its ``workers`` field is not used here — the fabric's processes
+    are its ``workers`` one-process lanes).
     """
 
     workers: int = 2
@@ -108,79 +93,8 @@ class FabricConfig:
             )
 
 
-# ----------------------------------------------------------------------
-# Worker-side machinery.  Each child process hosts exactly one fabric
-# worker; the dict is keyed by worker index anyway so the no-fork
-# serial fallback (all "workers" inline in the fabric process) keeps
-# per-worker state separate and stays functionally identical.
-_FABRIC_WORKERS: dict = {}
-
-
-def _init_fabric_worker(
-    code: LdpcCode, config: ServeConfig, index: int
-) -> None:
-    """Pool initializer: build this worker's service + registry."""
-    from .engine import DecodeService
-
-    registry = MetricsRegistry()
-    service = DecodeService(code, config, registry=registry)
-    _FABRIC_WORKERS[index] = {
-        "service": service,
-        "registry": registry,
-        "baseline": registry.snapshot(),
-    }
-
-
-def _fabric_worker_pid(index: int) -> int:
-    """Pool entry point: the worker process id (for chaos testing)."""
-    return os.getpid()
-
-
-def _fabric_decode_chunk(
-    index: int,
-    llrs: np.ndarray,
-    arrivals: np.ndarray,
-    deadlines: list,
-    fill_hint: float,
-) -> Tuple[List[DecodeResult], dict, int]:
-    """Pool entry point: decode one fabric chunk on worker ``index``.
-
-    Frames are submitted with their fabric arrival timestamps (the
-    monotonic clock is system-wide on the platforms the fork pool runs
-    on, so latency spans fabric queueing) and absolute deadlines, then
-    flushed as one batch.  Returns the per-frame results in submission
-    order, the worker registry's **delta for this chunk** (the fabric
-    merges it into that worker's accumulator — results and their
-    metrics commit atomically), and the worker pid.
-    """
-    state = _FABRIC_WORKERS[index]
-    service = state["service"]
-    service.set_load_hint(fill_hint)
-    ids = []
-    for i in range(llrs.shape[0]):
-        ids.append(
-            service.submit(
-                llrs[i],
-                deadline_s=deadlines[i],
-                now=float(arrivals[i]),
-            )
-        )
-    service.flush()
-    position = {rid: i for i, rid in enumerate(ids)}
-    out: List[Optional[DecodeResult]] = [None] * len(ids)
-    for result in service.poll():
-        out[position[result.request_id]] = result
-    snapshot = state["registry"].snapshot()
-    delta = snapshot_delta(state["baseline"], snapshot)
-    state["baseline"] = snapshot
-    # The fabric counted these frames submitted at its door; dropping
-    # the worker-side count keeps the merged total exact.
-    delta.get("counters", {}).pop("serve.requests.submitted", None)
-    return out, delta, os.getpid()
-
-
-class DecodeFabric:
-    """Sharded decode plane behind a :class:`DecodeService`-shaped API.
+class DecodeFabric(DecodeService):
+    """The serve pump over N one-process worker lanes.
 
     Parameters
     ----------
@@ -189,11 +103,10 @@ class DecodeFabric:
     config:
         Fabric shape; see :class:`FabricConfig`.
     registry:
-        The fabric-side metrics sink (admission counters, chunk
-        round-trips).  :meth:`merged_snapshot` folds the per-worker
-        registries in on top.
+        The fabric-side metrics sink (admission, redrives, restarts).
+        :meth:`merged_snapshot` adds the per-worker views on top.
     trace:
-        Optional trace recorder; ``fabric_chunk`` / ``fabric_redrive`` /
+        Optional trace recorder; ``serve_batch`` / ``serve_redrive`` /
         ``pool_worker_restart`` events plus the usual ``serve_drop``\\ s.
     clock:
         Monotonic-seconds callable; tests inject a manual clock.
@@ -210,249 +123,93 @@ class DecodeFabric:
     ) -> None:
         self.code = code
         self.config = config if config is not None else FabricConfig()
-        self.registry = registry if registry is not None else get_registry()
-        self.trace = trace
-        self.clock = clock
         serve = self.config.serve
-        workers = self.config.workers
+        registry = registry if registry is not None else get_registry()
+        #: Effective per-worker in-flight chunk bound (see FabricConfig).
+        self.window = max(self.config.window, serve.pipeline_depth or 0)
+        pools = [
+            PersistentPool(
+                1,
+                label=f"fabric worker {index}",
+                dedicated=True,
+                registry=registry,
+                trace=trace,
+            )
+            for index in range(self.config.workers)
+        ]
+        #: One registry per worker: the ``worker<i>`` views.
+        self._worker_registries = [MetricsRegistry() for _ in pools]
+        lanes = [
+            Lane(pool, self.window, reg)
+            for pool, reg in zip(pools, self._worker_registries)
+            if not pool.serial
+        ]
         kwargs = (
             {"replicas": self.config.hash_replicas}
             if self.config.dispatch == "hash" else {}
         )
-        self.dispatch = make_dispatch(
-            self.config.dispatch, workers, **kwargs
+        self._init_pump(
+            serve, {None: Route(code)},
+            registry=registry, trace=trace, clock=clock, lanes=lanes,
+            dispatch=make_dispatch(
+                self.config.dispatch, self.config.workers, **kwargs
+            ),
         )
-        # Workers decode serially (fabric-level parallelism), own their
-        # deadline-free config: deadlines arrive absolute per frame.
-        # pipeline_depth is pinned to 1 so workers never nest pools of
-        # their own — pipelining happens fabric-side via the window.
-        self._worker_config = replace(
-            serve,
-            workers=1,
-            pipeline_depth=1,
-            deadline_ms=None,
-            max_linger_ms=0.0,
-            queue_capacity=max(serve.queue_capacity, serve.max_batch),
-        )
-        #: Effective per-worker in-flight chunk bound (see FabricConfig).
-        self.window = max(self.config.window, serve.pipeline_depth or 0)
-        self.batcher = MicroBatcher(serve.max_batch, serve.max_linger_s)
-        self._shared = BoundedRequestQueue(serve.queue_capacity)
-        self._pinned = [
-            BoundedRequestQueue(serve.queue_capacity)
-            for _ in range(workers)
-        ]
-        self._pools: List[PersistentPool] = []
-        self._worker_registries = [MetricsRegistry() for _ in range(workers)]
-        self._worker_pids: List[Optional[int]] = [None] * workers
-        for index in range(workers):
-            pool = PersistentPool(
-                1,
-                label=f"fabric worker {index}",
-                dedicated=True,
-                registry=self.registry,
-                trace=self.trace,
-            )
-            pool.configure(
-                _init_fabric_worker,
-                (code, self._worker_config, index),
-                key=("fabric", index, id(code), id(self._worker_config)),
-            )
-            self._pools.append(pool)
-        #: Frames / chunks currently at each worker (dispatch inputs).
-        self._outstanding = [0] * workers
-        self._chunks_in_flight = [0] * workers
-        self._next_id = 0
-        self._chunk_seq = 0
-        self._next_merge_seq = 0
-        #: seq -> (worker, future, requests, meta) strict-order merge.
-        self._pending: Dict[int, tuple] = {}
-        self._completed: List[DecodeResult] = []
-        self._closed = False
-        self._warm_up()
+        # Fork the workers now (each builds its decoder), so the first
+        # chunk does not pay for it and every worker is a chaos target.
+        for future in [lane.pool.submit(os.getpid) for lane in lanes]:
+            future.result()
 
     @property
     def serial(self) -> bool:
-        """True on no-``fork`` platforms: workers run inline (degraded
-        but functionally identical)."""
-        return any(pool.serial for pool in self._pools)
-
-    def _warm_up(self) -> None:
-        """Fork the workers now and learn their pids (chaos targets)."""
-        futures = [
-            pool.submit(_fabric_worker_pid, index)
-            for index, pool in enumerate(self._pools)
-        ]
-        for index, future in enumerate(futures):
-            self._worker_pids[index] = future.result()
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        llrs: np.ndarray,
-        *,
-        deadline_s: Optional[float] = None,
-        now: Optional[float] = None,
-        client: Optional[str] = None,
-    ) -> int:
-        """Admit one frame; returns its fabric-wide request id.
-
-        ``client`` is the affinity key for the consistent-hash policy
-        (pinned requests ride that worker's lane; requests without a
-        client — or under other policies — use the shared lane).
-        """
-        if self._closed:
-            raise RuntimeError("fabric is closed")
-        llrs = np.asarray(llrs, dtype=np.float64)
-        if llrs.shape != (self.code.n,):
-            raise ValueError(f"expected shape ({self.code.n},) LLRs")
-        now = self.clock() if now is None else now
-        request_id = self._next_id
-        self._next_id += 1
-        serve = self.config.serve
-        if deadline_s is None and serve.deadline_ms is not None:
-            deadline_s = now + serve.deadline_ms / 1e3
-        request = DecodeRequest(
-            request_id=request_id,
-            llrs=llrs,
-            arrival_s=now,
-            deadline_s=deadline_s,
-            client=client,
-        )
-        self.registry.counter("serve.requests.submitted").inc()
-        target = self.dispatch.route(request)
-        lane = self._shared if target is None else self._pinned[target]
-        if not lane.offer(request):
-            self.registry.counter("serve.requests.rejected").inc()
-            self._drop(request, STATUS_REJECTED, REASON_QUEUE_FULL, now)
-            return request_id
-        self.registry.gauge("serve.queue.depth").set(self._depth())
-        return request_id
-
-    # ------------------------------------------------------------------
-    # Event pump
-    # ------------------------------------------------------------------
-    def pump(self, now: Optional[float] = None) -> int:
-        """Expire, dispatch due chunks to workers, fold completions in.
-        Returns the number of chunks dispatched."""
-        now = self.clock() if now is None else now
-        self.check_health()
-        self._expire(now)
-        dispatched = self._dispatch_due(now, force=False)
-        self._collect(block=False)
-        return dispatched
-
-    def poll(self) -> List[DecodeResult]:
-        """Drain results completed since the last poll."""
-        out = self._completed
-        self._completed = []
-        return out
-
-    def next_due(self, now: Optional[float] = None) -> Optional[float]:
-        """When the pump next has work (None = idle until a submit)."""
-        now = self.clock() if now is None else now
-        if self._pending:
-            return now
-        dues = [self.batcher.next_due(self._shared, now)]
-        dues += [
-            self.batcher.next_due(lane, now) for lane in self._pinned
-        ]
-        dues = [d for d in dues if d is not None]
-        return min(dues) if dues else None
-
-    def flush(self, now: Optional[float] = None) -> None:
-        """Decode everything queued (ignoring linger) and wait for it."""
-        now = self.clock() if now is None else now
-        while True:
-            self._expire(now)
-            self._dispatch_due(now, force=True)
-            if not any(len(lane) for lane in self._lanes()):
-                break
-            # Every worker window is full: wait for chunks to land,
-            # then place the remainder.
-            self._collect(block=True)
-        self._collect(block=True)
-
-    def close(self) -> None:
-        """Flush outstanding work and stop the workers (idempotent)."""
-        if self._closed:
-            return
-        self.flush()
-        for pool in self._pools:
-            pool.shutdown()
-        if self.trace is not None:
-            self.trace.flush()
-        self._closed = True
-
-    def __enter__(self) -> "DecodeFabric":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
+        """True on no-``fork`` platforms: the pump decodes inline
+        (degraded but functionally identical)."""
+        return not self._lanes
 
     # ------------------------------------------------------------------
     # Health / chaos
     # ------------------------------------------------------------------
     def check_health(self) -> List[bool]:
-        """Per-worker liveness; respawns idle-and-broken workers.
-
-        A worker that died *with a chunk in flight* is healed on the
-        collect path (respawn + redrive); one that died idle would
-        otherwise stay dead until its next chunk, so the pump-time
-        check respawns it eagerly.
-        """
-        healthy = []
-        for index, pool in enumerate(self._pools):
-            if pool.broken and self._chunks_in_flight[index] == 0:
-                pool.respawn()
-                self._worker_pids[index] = pool.submit(
-                    _fabric_worker_pid, index
-                ).result()
-            healthy.append(not pool.broken)
-        return healthy
+        """Per-worker liveness, after respawning idle-and-broken workers
+        (a worker that died with a chunk in flight heals on the collect
+        path, by respawn and redrive)."""
+        self._heal()
+        return [not lane.pool.broken for lane in self._lanes]
 
     def kill_worker(self, index: int) -> int:
         """SIGKILL worker ``index``'s process (chaos testing).
 
-        Returns the pid that was killed.  The next pump (or collect)
-        respawns the worker and redrives whatever it was holding.
+        Returns the pid that was killed.  The pump respawns the worker
+        and redrives whatever it was holding.
         """
         if self.serial:
             raise RuntimeError(
                 "serial fabric fallback has no worker processes to kill"
             )
-        pid = self._worker_pids[index]
-        if pid is None:
-            raise RuntimeError(f"worker {index} pid unknown")
+        pool = self._lanes[index].pool
+        if not pool.pids:  # respawned, not forked yet
+            pool.submit(os.getpid).result()
+        pid = pool.pids[0]
         os.kill(pid, signal.SIGKILL)
         return pid
 
     @property
     def restarts(self) -> int:
         """Total worker restarts across the fabric."""
-        return sum(pool.restarts for pool in self._pools)
+        return sum(lane.pool.restarts for lane in self._lanes)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def merged_snapshot(self) -> dict:
         """One cross-worker snapshot: fabric admission metrics plus
-        every worker's accumulated chunk deltas, with per-worker
-        sub-views under ``"workers"``.  Deterministic for a given set
-        of completed chunks, regardless of completion interleaving."""
+        every worker's decode-side metrics, with per-worker sub-views
+        under ``"workers"``.  Deterministic for a given set of completed
+        chunks, regardless of completion interleaving."""
         parts = {"fabric": self.registry.snapshot()}
         for index, reg in enumerate(self._worker_registries):
             parts[f"worker{index}"] = reg.snapshot()
         return merge_snapshots(parts)
-
-    def snapshot(self) -> dict:
-        """Alias for :meth:`merged_snapshot` — lets the fabric stand in
-        for a registry anywhere only snapshots are read (the snapshot
-        publisher, the ``/metrics`` HTTP server)."""
-        return self.merged_snapshot()
 
     def report(self, wall_s: float) -> ServiceReport:
         """Cross-worker :class:`ServiceReport` over ``wall_s`` seconds."""
@@ -463,183 +220,3 @@ class DecodeFabric:
             max_batch=self.config.serve.max_batch,
             workers=self.config.workers,
         )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _lanes(self) -> List[BoundedRequestQueue]:
-        return [self._shared] + self._pinned
-
-    def _depth(self) -> int:
-        return sum(len(lane) for lane in self._lanes())
-
-    def _fill(self) -> float:
-        """Admission pressure: the fullest lane (the shed-hint input)."""
-        return max(lane.fill for lane in self._lanes())
-
-    def _drop(
-        self,
-        request: DecodeRequest,
-        status: str,
-        reason: str,
-        now: float,
-    ) -> None:
-        self._completed.append(
-            DecodeResult(
-                request_id=request.request_id,
-                status=status,
-                reason=reason,
-                latency_s=now - request.arrival_s,
-            )
-        )
-        if self.trace is not None:
-            self.trace.event(
-                "serve_drop",
-                request=request.request_id,
-                status=status,
-                reason=reason,
-                waited_s=round(now - request.arrival_s, 6),
-            )
-
-    def _expire(self, now: float) -> None:
-        for lane in self._lanes():
-            for request in lane.expire(now):
-                self.registry.counter("serve.requests.expired").inc()
-                self._drop(request, STATUS_EXPIRED, REASON_DEADLINE, now)
-        self.registry.gauge("serve.queue.depth").set(self._depth())
-
-    def _has_room(self, index: int) -> bool:
-        return self._chunks_in_flight[index] < self.window
-
-    def _dispatch_due(self, now: float, *, force: bool) -> int:
-        """Send every due chunk to a worker with window room.
-
-        ``force`` ignores the linger timer (the flush path).  Pinned
-        lanes drain to their own worker; the shared lane's worker comes
-        from the dispatch policy.
-        """
-        dispatched = 0
-        for index, lane in enumerate(self._pinned):
-            while len(lane) and self._has_room(index) and (
-                force or self.batcher.due(lane, now)
-            ):
-                self._dispatch_chunk(lane, index, now)
-                dispatched += 1
-        while len(self._shared) and (
-            force or self.batcher.due(self._shared, now)
-        ):
-            eligible = [
-                w for w in range(self.config.workers) if self._has_room(w)
-            ]
-            if not eligible:
-                break
-            index = self.dispatch.select(self._outstanding, eligible)
-            self._dispatch_chunk(self._shared, index, now)
-            dispatched += 1
-        return dispatched
-
-    def _dispatch_chunk(
-        self, lane: BoundedRequestQueue, index: int, now: float
-    ) -> None:
-        fill = self._fill()
-        requests = self.batcher.take(lane)
-        self.registry.gauge("serve.queue.depth").set(self._depth())
-        self.registry.histogram(
-            "fabric.chunk.occupancy", OCCUPANCY_BUCKETS
-        ).observe(len(requests))
-        llrs = np.stack([r.llrs for r in requests])
-        arrivals = np.array([r.arrival_s for r in requests])
-        deadlines = [r.deadline_s for r in requests]
-        seq = self._chunk_seq
-        self._chunk_seq += 1
-        meta = {
-            "formed_s": now,
-            "fill": fill,
-            "chunk": (llrs, arrivals, deadlines, fill),
-        }
-        future = self._pools[index].submit(
-            _fabric_decode_chunk, index, llrs, arrivals, deadlines, fill
-        )
-        self._pending[seq] = (index, future, requests, meta)
-        self._outstanding[index] += len(requests)
-        self._chunks_in_flight[index] += 1
-        self.registry.counter("fabric.chunks.dispatched").inc()
-        self.registry.gauge(f"fabric.worker{index}.outstanding").set(
-            self._outstanding[index]
-        )
-
-    def _collect(self, block: bool) -> None:
-        """Fold finished chunks in, strictly in dispatch order; broken
-        futures trigger respawn-and-redrive without losing the slot."""
-        while self._next_merge_seq in self._pending:
-            seq = self._next_merge_seq
-            index, future, requests, meta = self._pending[seq]
-            if not block and not future.done():
-                return
-            try:
-                results, delta, pid = future.result()
-            except BrokenExecutor:
-                self._redrive(seq)
-                continue
-            del self._pending[seq]
-            self._next_merge_seq = seq + 1
-            self._worker_pids[index] = pid
-            self._worker_registries[index].merge(delta)
-            self._outstanding[index] -= len(requests)
-            self._chunks_in_flight[index] -= 1
-            self.registry.gauge(f"fabric.worker{index}.outstanding").set(
-                self._outstanding[index]
-            )
-            rtt_s = self.clock() - meta["formed_s"]
-            self.registry.timer("fabric.chunk.rtt").record_ns(
-                max(0, int(rtt_s * 1e9))
-            )
-            for request, result in zip(requests, results):
-                result.request_id = request.request_id
-                result.batch_seq = seq
-                self._completed.append(result)
-            if self.trace is not None:
-                self.trace.event(
-                    "fabric_chunk",
-                    seq=seq,
-                    worker=index,
-                    occupancy=len(requests),
-                    fill=round(meta["fill"], 4),
-                    rtt_s=round(rtt_s, 6),
-                )
-
-    def _redrive(self, seq: int) -> None:
-        """Respawn a dead worker and resubmit its chunk to it.
-
-        The chunk's frames (and their metrics, which only commit with
-        the results) are recounted by the fresh worker, so accounting
-        balances exactly as if the crash never happened — only latency
-        shows the scar.
-        """
-        index, _, requests, meta = self._pending[seq]
-        pool = self._pools[index]
-        # One death fails every in-flight future on the pool; respawn
-        # once and redrive each as the merge cursor reaches it.
-        if pool.broken:
-            pool.respawn()
-        self.registry.counter("fabric.chunks.redriven").inc()
-        if self.trace is not None:
-            self.trace.event(
-                "fabric_redrive",
-                seq=seq,
-                worker=index,
-                occupancy=len(requests),
-            )
-        meta["redrives"] = meta.get("redrives", 0) + 1
-        if meta["redrives"] > 3:
-            # A chunk that kills every worker it touches is poison, not
-            # bad luck — surface it instead of redriving forever.
-            raise RuntimeError(
-                f"fabric chunk {seq} crashed worker {index} "
-                f"{meta['redrives']} times; giving up"
-            )
-        llrs, arrivals, deadlines, fill = meta["chunk"]
-        future = pool.submit(
-            _fabric_decode_chunk, index, llrs, arrivals, deadlines, fill
-        )
-        self._pending[seq] = (index, future, requests, meta)

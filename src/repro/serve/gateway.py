@@ -15,7 +15,8 @@ line** in each direction (newline-delimited, UTF-8).  Requests:
     hex-encoded.  Optional ``deadline_ms`` (relative, propagated as an
     absolute fabric deadline) and ``client`` (affinity key for hash
     dispatch).  The response echoes ``id`` and carries ``status``
-    (``ok`` / ``rejected`` / ``expired``), packed codeword bits as hex
+    (``ok`` / ``rejected`` / ``expired`` / ``failed``, the last three
+    with a ``reason``), packed codeword bits as hex
     (``bits``, via ``np.packbits``) plus ``n`` for exact unpacking,
     ``iterations``, ``converged`` and ``latency_ms``.
 
@@ -185,13 +186,11 @@ class FabricGateway:
             fabric.pump()
             self._route_completions()
             now = fabric.clock()
-            due = fabric.next_due(now)
-            if fabric._pending:
-                delay = _BUSY_TICK_S
-            elif due is None:
+            due = fabric.next_due(now)  # ``now`` while chunks are in flight
+            if due is None:
                 delay = _IDLE_TICK_S
             else:
-                delay = min(max(due - now, 0.0), _IDLE_TICK_S)
+                delay = min(max(due - now, _BUSY_TICK_S), _IDLE_TICK_S)
             await asyncio.sleep(delay)
 
     def _route_completions(self) -> None:

@@ -39,6 +39,9 @@ from .engine import DecodeService
 from .fabric import DecodeFabric, FabricConfig
 from .report import ServiceReport
 
+#: Generator sleep while batches are in flight and nothing else is due.
+_BUSY_TICK_S = 0.0005
+
 
 @dataclass(frozen=True)
 class FramePool:
@@ -138,8 +141,8 @@ def run_loadgen(
     With a ``fabric`` config the run drives a multi-worker
     :class:`~repro.serve.fabric.DecodeFabric` instead of the in-process
     service; the serve knobs still come from ``config`` (``fabric``'s
-    embedded serve config is replaced), the returned snapshot is the
-    cross-worker merge, and ``clients`` > 0 stamps arrivals with a
+    embedded serve config is replaced) and the returned snapshot is the
+    cross-worker merge.  ``clients`` > 0 stamps arrivals with a
     rotating client identity so affinity dispatch gets exercised.
     """
     if offered_fps <= 0:
@@ -170,22 +173,17 @@ def run_loadgen(
                 frame_errors += 1
                 bit_errors += wrong
 
-    if fabric is not None:
-        service = DecodeFabric(
-            code,
-            replace(fabric, serve=config),
-            registry=registry,
-            trace=trace,
-            clock=clock,
-        )
-    else:
-        service = DecodeService(
-            code, config, registry=registry, trace=trace, clock=clock
-        )
+    service = (
+        DecodeService(code, config, registry=registry, trace=trace,
+                      clock=clock)
+        if fabric is None else
+        DecodeFabric(code, replace(fabric, serve=config),
+                     registry=registry, trace=trace, clock=clock)
+    )
     if publisher is not None:
-        # The fabric quacks like a registry (merged snapshot()), so the
-        # publisher streams the cross-worker view.
-        publisher.attach(service if fabric is not None else registry)
+        # The service quacks like a registry (merged snapshot()), so the
+        # publisher streams the fabric's cross-worker view too.
+        publisher.attach(service)
     start = clock()
     submitted = 0
     with service:
@@ -200,16 +198,13 @@ def run_loadgen(
                 if scheduled > now:
                     break
                 idx = submitted % len(frame_pool)
-                if fabric is not None and clients > 0:
-                    rid = service.submit(
-                        frame_pool.llrs[idx],
-                        now=scheduled,
-                        client=f"client{submitted % clients}",
-                    )
-                else:
-                    rid = service.submit(
-                        frame_pool.llrs[idx], now=scheduled
-                    )
+                rid = service.submit(
+                    frame_pool.llrs[idx],
+                    now=scheduled,
+                    client=(
+                        f"client{submitted % clients}" if clients else None
+                    ),
+                )
                 frame_of[rid] = idx
                 submitted += 1
             service.pump(now)
@@ -217,8 +212,13 @@ def run_loadgen(
             if submitted >= total:
                 break
             next_arrival = start + submitted * period
-            due = service.next_due(clock())
-            wake = next_arrival if due is None else min(next_arrival, due)
+            now = clock()
+            due = service.next_due(now)
+            # Work in flight (due now): poll again after a short tick
+            # instead of spinning on a CPU the workers need.
+            wake = next_arrival if due is None else min(
+                next_arrival, max(due, now + _BUSY_TICK_S)
+            )
             delay = wake - clock()
             if delay > 0:
                 sleep(min(delay, period))
@@ -227,10 +227,7 @@ def run_loadgen(
         wall = clock() - start
     if publisher is not None:
         publisher.publish(clock(), force=True)
-    snapshot = (
-        service.merged_snapshot() if fabric is not None
-        else registry.snapshot()
-    )
+    snapshot = service.merged_snapshot()
     report = ServiceReport.from_snapshot(
         code, snapshot, wall, max_batch=config.max_batch
     )

@@ -72,6 +72,8 @@ class ServiceReport:
     completed: int
     rejected: int
     expired: int
+    #: Dispatched frames whose batch kept crashing its workers.
+    failed: int
     # -- batching ------------------------------------------------------
     batches: int
     mean_occupancy: float
@@ -198,6 +200,7 @@ class ServiceReport:
             completed=completed,
             rejected=counters.get("serve.requests.rejected", 0),
             expired=counters.get("serve.requests.expired", 0),
+            failed=counters.get("serve.requests.failed", 0),
             batches=batches,
             mean_occupancy=(
                 completed / batches if batches else float("nan")
@@ -251,6 +254,7 @@ class ServiceReport:
                 f"  requests   submitted={self.submitted}"
                 f"  completed={self.completed}"
                 f"  rejected={self.rejected}  expired={self.expired}"
+                + (f"  failed={self.failed}" if self.failed else "")
             ),
             (
                 f"  batches    n={self.batches}"

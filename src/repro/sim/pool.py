@@ -296,6 +296,12 @@ class PersistentPool:
             getattr(self._executor, "_broken", False)
         )
 
+    @property
+    def pids(self) -> List[int]:
+        """Process ids of the live workers (empty before the first
+        submit forks them, and on the inline path)."""
+        return sorted(getattr(self._executor, "_processes", None) or ())
+
     def respawn(self) -> None:
         """Replace a dead executor with freshly initialized workers.
 

@@ -1,5 +1,8 @@
 """Tests for repro.acm — MODCODs, estimation, control, multi-serve."""
 
+import os
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 
@@ -327,3 +330,63 @@ def test_acm_trace_is_deterministic():
     b = run_acm_trace(table, **kwargs)
     assert a.to_dict() == b.to_dict()
     assert a.est_esn0_db == b.est_esn0_db
+
+
+def test_multi_service_counts_each_frame_once_in_caller_registry():
+    mc = ModCod("1/2")
+    code = build_modcod_code(mc, parallelism=12)
+    reg = MetricsRegistry()
+    with MultiModcodService(CALM, parallelism=12, registry=reg) as service:
+        service.submit(np.full(code.n, 5.0), mc, now=0.0)
+        service.flush(now=1.0)
+        service.poll()
+        for _ in range(3):
+            service.merged_snapshot()
+    assert reg.snapshot()["counters"]["serve.requests.completed"] == 1
+
+
+def _child_pids() -> set:
+    root = f"/proc/{os.getpid()}/task"
+    pids = set()
+    for tid in os.listdir(root):
+        with open(f"{root}/{tid}/children") as handle:
+            pids.update(int(pid) for pid in handle.read().split())
+    return pids
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task"),
+    reason="needs /proc to count worker processes",
+)
+def test_pooled_multi_service_shares_one_pool():
+    """Three MODCODs on ``workers=2`` run two worker processes in all
+    (not two per MODCOD); MODCODs that first arrive after the workers
+    started are built there on first use, and every frame matches the
+    inline plane bit for bit."""
+    from repro.sim.pool import fork_context
+
+    if fork_context() is None:
+        pytest.skip("fork start method unavailable")
+    modcods = [ModCod("1/4"), ModCod("1/2"), ModCod("3/4")]
+
+    def run(config):
+        before = _child_pids()
+        with MultiModcodService(config, parallelism=12) as service:
+            where = {}
+            for j, mc in enumerate(modcods):
+                code = service.service_for(mc)
+                rows = np.random.default_rng(j).normal(1.5, 2.0, (6, code.n))
+                for i, row in enumerate(rows):
+                    where[service.submit(row, mc, now=float(i))] = (j, i)
+                service.flush()
+            results = {where[r.request_id]: r for r in service.poll()}
+            workers = _child_pids() - before
+        return results, workers
+
+    inline, _ = run(CALM)
+    pooled, workers = run(dc_replace(CALM, workers=2))
+    assert len(workers) == 2
+    assert sorted(pooled) == sorted(inline)
+    for key, result in pooled.items():
+        assert result.ok and inline[key].ok
+        assert np.array_equal(result.bits, inline[key].bits)

@@ -8,13 +8,18 @@ crash recovery that loses nothing.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+import repro.serve.engine as engine_mod
 import repro.sim.pool as pool_mod
 from repro.obs.capacity import capacity_from_bench, points_from_bench
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.serve import (
+    REASON_WORKER_CRASH,
+    STATUS_FAILED,
     STATUS_OK,
     DecodeFabric,
     DecodeService,
@@ -402,3 +407,88 @@ class TestSubmitValidation:
         fabric.close()
         with pytest.raises(RuntimeError, match="closed"):
             fabric.submit(frames.llrs[0], now=0.0)
+
+
+# ----------------------------------------------------------------------
+# poison chunks: a chunk that keeps crashing workers fails its own frames
+# ----------------------------------------------------------------------
+#: First LLR of the frame whose chunk kills every worker it reaches.
+_SENTINEL = 1234.5
+_real_decode_task = engine_mod._decode_task
+
+
+def _poison_decode_task(key, recipe, frames, budgets):
+    """Worker task that dies on any batch carrying the sentinel frame."""
+    if any(frame[0] == _SENTINEL for frame in frames):
+        os._exit(1)
+    return _real_decode_task(key, recipe, frames, budgets)
+
+
+class TestPoisonChunk:
+    def test_poison_chunk_fails_only_its_frames(
+        self, code_half_tiny, frames, monkeypatch
+    ):
+        # Patched before the fabric forks, so every worker inherits it.
+        monkeypatch.setattr(engine_mod, "_decode_task", _poison_decode_task)
+        config = _calm_config(max_batch=4)
+        expected = _single_service_bits(code_half_tiny, config, frames)
+        llrs = frames.llrs.copy()
+        llrs[5, 0] = _SENTINEL  # frames 4..7 share the poisoned chunk
+        fabric = DecodeFabric(
+            code_half_tiny,
+            FabricConfig(workers=2, serve=config),
+            registry=MetricsRegistry(),
+        )
+        if fabric.serial:
+            fabric.close()
+            pytest.skip("no fork: no worker processes to crash")
+        with fabric:
+            ids = [
+                fabric.submit(llrs[i], now=float(i))
+                for i in range(len(frames))
+            ]
+            fabric.pump(now=100.0)
+            fabric.flush(now=100.0)
+            by_id = {r.request_id: r for r in fabric.poll()}
+            report = fabric.report(wall_s=1.0)
+        poisoned = {ids[i] for i in range(4, 8)}
+        for i, rid in enumerate(ids):
+            result = by_id[rid]
+            if rid in poisoned:
+                assert result.status == STATUS_FAILED
+                assert result.reason == REASON_WORKER_CRASH
+            else:
+                assert result.status == STATUS_OK
+                assert np.array_equal(result.bits, expected[i])
+        assert report.failed == 4
+        assert report.completed == len(frames) - 4
+        assert (
+            report.completed + report.rejected + report.expired
+            + report.failed == report.submitted == len(frames)
+        )
+
+
+def test_soak_verifier_counts_failed_frames():
+    """The CI soak check books failed frames as exits and rejects them:
+    a healed kill must lose nothing."""
+    import importlib.util
+
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "benchmarks", "verify_fabric_soak.py",
+    )
+    spec = importlib.util.spec_from_file_location("verify_fabric_soak", path)
+    soak = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(soak)
+    views = {"fabric": {}, "worker0": {}, "worker1": {}}
+    clean = {"workers": views, "counters": {
+        "serve.requests.submitted": 8, "serve.requests.completed": 8,
+        "pool.worker_restart": 1,
+    }}
+    assert soak.verify(clean, workers=2) == []
+    lossy = {"workers": views, "counters": {
+        "serve.requests.submitted": 8, "serve.requests.completed": 4,
+        "serve.requests.failed": 4, "pool.worker_restart": 1,
+    }}
+    problems = soak.verify(lossy, workers=2)
+    assert len(problems) == 1 and "4 frames failed" in problems[0]

@@ -483,3 +483,18 @@ class TestFabricPipelined:
             assert fabric.restarts >= 1
         finally:
             fabric.close()
+
+
+def test_parent_builds_a_decoder_only_when_decoding_inline(code_half_tiny):
+    """Pooled batches decode in the workers, so the parent builds no
+    decoder of its own; the inline path builds exactly one."""
+    with DecodeService(
+        code_half_tiny, _calm_config(), registry=MetricsRegistry()
+    ) as inline:
+        assert inline._routes[None].decoder is not None
+    if not HAS_FORK:
+        pytest.skip("fork start method unavailable")
+    with DecodeService(
+        code_half_tiny, _calm_config(workers=2), registry=MetricsRegistry()
+    ) as pooled:
+        assert pooled._routes[None].decoder is None

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -635,3 +640,85 @@ class TestTraceFlushOnClose:
         assert sink.flushes > flushed_before
         # The pending frame was drained and traced before the flush.
         assert any('"serve_batch"' in chunk for chunk in sink.data)
+
+
+#: A pooled service whose worker is SIGKILLed mid-flight, then flushed.
+_KILL_POOLED_WORKER = """
+import os, signal
+import numpy as np
+from repro.codes import build_small_code
+from repro.obs.registry import MetricsRegistry
+from repro.serve import DecodeService, ServeConfig, make_frame_pool
+
+def children():
+    root = f"/proc/{os.getpid()}/task"
+    pids = []
+    for tid in os.listdir(root):
+        with open(f"{root}/{tid}/children") as fh:
+            pids += [int(pid) for pid in fh.read().split()]
+    return pids
+
+def decode(workers, kill=False):
+    registry = MetricsRegistry()
+    service = DecodeService(code, ServeConfig(
+        max_batch=4, max_linger_ms=0, max_iterations=50,
+        min_iterations=50, workers=workers,
+    ), registry=registry)
+    try:
+        ids = [service.submit(frames.llrs[i], now=float(i))
+               for i in range(16)]
+        service.pump(now=100.0)
+        if kill:
+            os.kill(children()[0], signal.SIGKILL)
+        service.flush()
+        by_id = {r.request_id: r for r in service.poll()}
+    finally:
+        service.close()
+    return [by_id[i] for i in ids], registry.snapshot()["counters"]
+
+code = build_small_code("1/2", parallelism=12)
+frames = make_frame_pool(code, pool_size=16, seed=77)
+expected, _ = decode(1)
+got, counters = decode(2, kill=True)
+print("ok", sum(r.status == "ok" for r in got))
+print("identical", all(
+    np.array_equal(g.bits, e.bits) for g, e in zip(got, expected)
+))
+print("restarts", counters.get("pool.worker_restart", 0))
+print("balanced", counters["serve.requests.submitted"]
+      == counters["serve.requests.completed"] == 16)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task"),
+    reason="needs /proc to find the pool's worker processes",
+)
+def test_pooled_service_survives_worker_kill():
+    """A SIGKILLed pool worker is healed by respawn-and-redrive: the
+    flush returns every frame decoded, bit-identical to inline, and the
+    process exits.  The steps run in their own process group, killed
+    whole at the bound, so a hang fails here instead of hanging."""
+    from repro.sim.pool import fork_context
+
+    if fork_context() is None:
+        pytest.skip("fork start method unavailable")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILL_POOLED_WORKER],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+        pytest.fail(f"pooled service hung after a worker kill:\n{out}")
+    assert proc.returncode == 0, err
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    assert lines["ok"] == "16"
+    assert lines["identical"] == "True"
+    assert int(lines["restarts"]) >= 1
+    assert lines["balanced"] == "True"

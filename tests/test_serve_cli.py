@@ -201,3 +201,18 @@ def test_fabric_gateway_cli_end_to_end(capsys, tmp_path):
     assert "workers=2" in out
     snap = json.loads(metrics.read_text())
     assert set(snap["workers"]) == {"fabric", "worker0", "worker1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fabric", "--listen", "127.0.0.1:0", "--duration", "0.1",
+     "--workers", "3"],
+    ["loadgen", "--offered-fps", "10", "--duration", "0.1",
+     "--fabric-workers", "2", "--workers", "3"],
+])
+def test_fabric_paths_reject_serve_workers(capsys, argv):
+    """The fabric's process count is --fabric-workers; a --workers value
+    it would drop is refused with a one-line error instead."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "--fabric-workers" in err and "--workers 3" in err
