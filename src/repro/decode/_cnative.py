@@ -47,6 +47,18 @@ def _compiler() -> Optional[str]:
     return None
 
 
+#: Compiler flags of the kernel build, tried in this order:
+#: ``-march=native`` maximises the vectorized lane loops but is not
+#: universally supported, so the portable build drops it.
+NATIVE_FLAGS = ("-O3", "-march=native", "-fPIC", "-shared")
+PORTABLE_FLAGS = ("-O3", "-fPIC", "-shared")
+
+
+def build_command(cc: str, flags: tuple, lib_path: str) -> list:
+    """The compiler command that builds the kernels into ``lib_path``."""
+    return [cc, *flags, _SOURCE, "-o", lib_path]
+
+
 def _compile() -> tuple:
     cc = _compiler()
     if cc is None:
@@ -57,18 +69,15 @@ def _compile() -> tuple:
     atexit.register(shutil.rmtree, build_dir, ignore_errors=True)
     suffix = ".dylib" if sys.platform == "darwin" else ".so"
     lib_path = os.path.join(build_dir, "zigzag_kernels" + suffix)
-    base = [cc, "-O3", "-fPIC", "-shared", _SOURCE, "-o", lib_path]
-    # -march=native maximises the vectorized inner loops but is not
-    # universally supported; retry plain if it is rejected.
-    attempts = (base[:1] + ["-march=native"] + base[1:], base)
     err = ""
-    for cmd in attempts:
+    for flags in (NATIVE_FLAGS, PORTABLE_FLAGS):
         proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=120
+            build_command(cc, flags, lib_path),
+            capture_output=True, text=True, timeout=120,
         )
         if proc.returncode == 0 and os.path.exists(lib_path):
             try:
-                return ctypes.CDLL(lib_path), None
+                return bind(ctypes.CDLL(lib_path)), None
             except OSError as exc:  # built but not loadable
                 err = str(exc)
                 continue
@@ -76,33 +85,36 @@ def _compile() -> tuple:
     return None, f"kernel compile failed with {cc}: {err[:500]}"
 
 
+def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the C signatures on a loaded kernel library."""
+    lib.segment_min_scan.restype = None
+    lib.segment_min_scan.argtypes = [
+        _I8, ctypes.c_int64, ctypes.c_int64,
+        _I64, ctypes.c_int64, _I8, _I8, _I64,
+    ]
+    lib.zigzag_forward_scan.restype = None
+    lib.zigzag_forward_scan.argtypes = [
+        _I8, _U8, _I8, _I8,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, _I8, _I8, _I8, _U8,
+    ]
+    lib.zigzag_decode.restype = None
+    lib.zigzag_decode.argtypes = [
+        _I16, _I8, _I32,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64,
+        _I64, ctypes.c_int,
+        _U8, _U8, _I64,
+    ]
+    return lib
+
+
 def load() -> tuple:
     """Return ``(lib, reason)``: the loaded CDLL or the failure reason."""
     global _STATE
     if _STATE is None:
         _STATE = _compile()
-        lib = _STATE[0]
-        if lib is not None:
-            lib.segment_min_scan.restype = None
-            lib.segment_min_scan.argtypes = [
-                _I8, ctypes.c_int64, ctypes.c_int64,
-                _I64, ctypes.c_int64, _I8, _I8, _I64,
-            ]
-            lib.zigzag_forward_scan.restype = None
-            lib.zigzag_forward_scan.argtypes = [
-                _I8, _U8, _I8, _I8,
-                ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                ctypes.c_int64, _I8, _I8, _I8, _U8,
-            ]
-            lib.zigzag_decode.restype = None
-            lib.zigzag_decode.argtypes = [
-                _I16, _I8, _I32,
-                ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                ctypes.c_int64, ctypes.c_int64,
-                _I64, ctypes.c_int,
-                _U8, _U8, _I64,
-            ]
     return _STATE
 
 

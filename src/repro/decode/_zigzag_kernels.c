@@ -23,17 +23,31 @@
  * does not have, and the serve and shard batches are at most one block
  * of LANES frames anyway.
  *
- * Two more tricks keep the hot loops narrow:
- *   - magnitude normalization floor(alpha*m) is an exact
- *     multiply-shift (the caller verifies (mult*m)>>shift reproduces
- *     the decoder's LUT for every representable magnitude), so there
- *     are no table gathers;
+ * Every pass computes at the width of its data: int8 for messages,
+ * check state and the parity chain; int16 only for the wide info
+ * posteriors and the normalization product.  Write mi for max_int.
+ * The caller guarantees 3*mi <= 127, mult*mi <= 32767 and channel
+ * LLRs within +-mi, which keeps every value inside those widths:
  *   - the VN pass reads an int8 mirror of the posteriors clipped to
- *     +-2*max_int (sign-preserving, and c2v is in [-mi, mi], so the
- *     clipped difference saturates to the same v2c — the numpy
- *     decoder's "narrow" path uses the identical argument).  This
- *     requires 3*max_int <= 127, which the caller enforces; wide
- *     int16 posteriors are still kept for the exact decision sums.
+ *     +-2*mi (sign-preserving, and c2v is in [-mi, mi], so the clipped
+ *     difference saturates to the same v2c — the numpy decoder's
+ *     "narrow" path uses the identical argument);
+ *   - c2v, the channel parity LLRs, f and b all lie within +-mi, so
+ *     every sum or difference the kernel forms — p - c2v, chp + b_old,
+ *     chp + f and chp + f + b — lies within +-3*mi and is exact in int8;
+ *   - magnitude normalization floor(alpha*m) is an exact multiply-shift
+ *     (mult*m)>>shift (the caller verifies it reproduces the decoder's
+ *     LUT for every m in 0..mi, so there are no table gathers), and
+ *     with m <= mi the product is exact in int16.
+ * Written with int temporaries, GCC 12 widens every int8 lane to int32
+ * and packs it back, more than doubling the instructions per lane row;
+ * the int8 locals below keep each pass one vector wide.  Pass C carries
+ * "#pragma GCC ivdep": its posterior row is picked per check at run
+ * time, so GCC would otherwise version the lane loop with about 30
+ * instructions of overlap checks before every 32-lane row (and a scalar
+ * fallback loop).  The lanes of one row never overlap (c2v, posts and
+ * posts8 are disjoint parts of the workspace), so the pragma removes
+ * only the check.
  *
  * Layout conventions (see repro.decode.batch_quantized):
  *   - info-edge storage is slot-major: edge (cn, t) of the dense
@@ -169,7 +183,7 @@ typedef struct {
     uint8_t *aneg;
     uint8_t *synd;
     uint8_t *pb;     /* (n_par, LANES) parity-bit decisions */
-    void *base;
+    void *base;      /* the malloc'd block, for free() */
 } workspace;
 
 static int ws_alloc(workspace *w, int64_t k, int64_t n_par, int64_t e_in)
@@ -179,9 +193,16 @@ static int ws_alloc(workspace *w, int64_t k, int64_t n_par, int64_t e_in)
         k * L * 5 +                     /* chi, posts (int16), posts8 */
         e_in * L +                      /* c2v */
         (n_par + 1) * L * 24;           /* everything else, padded */
-    char *p = malloc((size_t)bytes);
+    /* Fields start at the first 64-byte boundary of the block.  Every
+     * field is a whole number of 32-byte lane rows, so no row then
+     * straddles two cache lines.  malloc only guarantees 16 bytes: a
+     * block 16 or 48 bytes past a line splits half the rows, and which
+     * offset a call got depended on the heap's state (3-15 % slower
+     * decodes on the P=36 codes, changing from process to process). */
+    char *p = malloc((size_t)bytes + 63);
     if (!p) return 0;
     w->base = p;
+    p = (char *)(((uintptr_t)p + 63) & ~(uintptr_t)63);
 #define TAKE(field, type, count) \
     w->field = (type *)p; p += (int64_t)(count) * L * sizeof(type);
     TAKE(chi, int16_t, k)
@@ -211,6 +232,12 @@ static int ws_alloc(workspace *w, int64_t k, int64_t n_par, int64_t e_in)
     return 1;
 }
 
+/* floor(alpha*m) for a magnitude m <= mi: the int16 multiply-shift. */
+static inline int8_t norm8(int8_t m, int16_t nm, int sh)
+{
+    return (int8_t)((int16_t)(nm * m) >> sh);
+}
+
 /* Pass A, slab t=0: the VN update v2c = clip(posts - c2v, +-mi) seeds
  * the min scan, the check parity sign, and the IRA syndrome of the
  * previous iteration's decision.  v2c itself is not stored — the
@@ -225,8 +252,9 @@ static void vn_pass_first(
     uint8_t *restrict par,
     uint8_t *restrict synd,
     const uint8_t *restrict pb,
-    int64_t n_par, int mi)
+    int64_t n_par, int8_t mi)
 {
+    const int8_t nmi = (int8_t)-mi;
     for (int64_t c = 0; c < n_par; c++) {
         const int8_t *pr = posts8 + (int64_t)vn[c] * LANES;
         const int8_t *cv = c2v + c * LANES;
@@ -244,12 +272,11 @@ static void vn_pass_first(
             for (int f = 0; f < LANES; f++)
                 sy[f] = pbc[f] ^ (uint8_t)(pr[f] < 0);
         for (int f = 0; f < LANES; f++) {
-            int v = pr[f] - cv[f];
+            int8_t v = (int8_t)(pr[f] - cv[f]);
             v = v > mi ? mi : v;
-            v = v < -mi ? -mi : v;
-            int mag = v < 0 ? -v : v;
-            m1[f] = (int8_t)mag;
-            m2[f] = (int8_t)mi;
+            v = v < nmi ? nmi : v;
+            m1[f] = (int8_t)(v < 0 ? -v : v);
+            m2[f] = mi;
             amc[f] = 0;
             pc[f] = v < 0;
         }
@@ -267,8 +294,9 @@ static void vn_pass_slab(
     int8_t *restrict am,
     uint8_t *restrict par,
     uint8_t *restrict synd,
-    int64_t n_par, int mi, int t)
+    int64_t n_par, int8_t mi, int8_t t)
 {
+    const int8_t nmi = (int8_t)-mi;
     for (int64_t c = 0; c < n_par; c++) {
         const int8_t *pr = posts8 + (int64_t)vn[c] * LANES;
         const int8_t *cv = c2v + c * LANES;
@@ -278,18 +306,18 @@ static void vn_pass_slab(
         uint8_t *pc = par + c * LANES;
         uint8_t *sy = synd + c * LANES;
         for (int f = 0; f < LANES; f++) {
-            int p = pr[f];
+            int8_t p = pr[f];
             sy[f] ^= (uint8_t)(p < 0);
-            int v = p - cv[f];
+            int8_t v = (int8_t)(p - cv[f]);
             v = v > mi ? mi : v;
-            v = v < -mi ? -mi : v;
+            v = v < nmi ? nmi : v;
             pc[f] ^= (uint8_t)(v < 0);
-            int mag = v < 0 ? -v : v;
-            int lt = mag < m1[f];
-            int mm = m2[f] < mag ? m2[f] : mag;
-            m2[f] = (int8_t)(lt ? m1[f] : mm);
-            m1[f] = (int8_t)(lt ? mag : m1[f]);
-            amc[f] = (int8_t)(lt ? t : amc[f]);
+            int8_t mag = (int8_t)(v < 0 ? -v : v);
+            int8_t a = m1[f], b = m2[f];
+            int lt = mag < a;
+            m2[f] = lt ? a : (b < mag ? b : mag);
+            m1[f] = lt ? mag : a;
+            amc[f] = lt ? t : amc[f];
         }
     }
 }
@@ -315,8 +343,9 @@ static void chain_inputs(
     uint8_t *restrict cneg,
     int8_t *restrict cl,
     int8_t *restrict n1,
-    int64_t n_par, int mi, int32_t nm, int sh)
+    int64_t n_par, int8_t mi, int16_t nm, int sh)
 {
+    const int8_t nmi = (int8_t)-mi;
     for (int64_t c = 0; c < n_par; c++) {
         const int8_t *cp = chp + c * LANES;
         const int8_t *bo = b_old + (c + 1) * LANES;
@@ -325,13 +354,12 @@ static void chain_inputs(
         int8_t *clc = cl + c * LANES;
         int8_t *n1c = n1 + c * LANES;
         for (int f = 0; f < LANES; f++) {
-            int ci = cp[f] + bo[f];
+            int8_t ci = (int8_t)(cp[f] + bo[f]);
             ci = ci > mi ? mi : ci;
-            ci = ci < -mi ? -mi : ci;
+            ci = ci < nmi ? nmi : ci;
             cn[f] = ci < 0;
-            int cm = ci < 0 ? -ci : ci;
-            clc[f] = (int8_t)((nm * cm) >> sh);
-            n1c[f] = (int8_t)((nm * (int32_t)m1[f]) >> sh);
+            clc[f] = norm8((int8_t)(ci < 0 ? -ci : ci), nm, sh);
+            n1c[f] = norm8(m1[f], nm, sh);
         }
     }
 }
@@ -345,23 +373,23 @@ static void forward_scan_blk(
     int8_t *restrict f_new,
     int8_t *restrict anorm,
     uint8_t *restrict aneg,
-    int64_t n_par, int64_t seg, int mi, int32_t nm, int sh)
+    int64_t n_par, int64_t seg, int8_t mi, int16_t nm, int sh)
 {
+    const int8_t nmi = (int8_t)-mi;
     const int64_t q = n_par / seg;
     for (int64_t s = 0; s < seg; s++) {
         const int64_t base = s * q;
-        int16_t a[LANES];
+        int8_t a[LANES];
         if (s == 0) {
             for (int f = 0; f < LANES; f++)
-                a[f] = (int16_t)mi;
+                a[f] = mi;
         } else {
             const int8_t *cp = chp + (base - 1) * LANES;
             const int8_t *fo = f_old + (base - 1) * LANES;
             for (int f = 0; f < LANES; f++) {
-                int av = cp[f] + fo[f];
+                int8_t av = (int8_t)(cp[f] + fo[f]);
                 av = av > mi ? mi : av;
-                av = av < -mi ? -mi : av;
-                a[f] = (int16_t)av;
+                a[f] = av < nmi ? nmi : av;
             }
         }
         for (int64_t j = 0; j < q; j++) {
@@ -373,18 +401,17 @@ static void forward_scan_blk(
             uint8_t *agc = aneg + i * LANES;
             int8_t *fn = f_new + i * LANES;
             for (int f = 0; f < LANES; f++) {
-                int av = a[f];
-                int ang = av < 0;
-                int anv = (int)((nm * (int32_t)(ang ? -av : av)) >> sh);
-                anc[f] = (int8_t)anv;
-                agc[f] = (uint8_t)ang;
-                int fm = n1c[f] < anv ? n1c[f] : anv;
-                int fv = (ang ^ pc[f]) ? -fm : fm;
-                fn[f] = (int8_t)fv;
-                int nx = cp[f] + fv;
+                int8_t av = a[f];
+                uint8_t ang = av < 0;
+                int8_t anv = norm8((int8_t)(ang ? -av : av), nm, sh);
+                anc[f] = anv;
+                agc[f] = ang;
+                int8_t fm = n1c[f] < anv ? n1c[f] : anv;
+                int8_t fv = (ang ^ pc[f]) ? (int8_t)-fm : fm;
+                fn[f] = fv;
+                int8_t nx = (int8_t)(cp[f] + fv);
                 nx = nx > mi ? mi : nx;
-                nx = nx < -mi ? -mi : nx;
-                a[f] = (int16_t)nx;
+                a[f] = nx < nmi ? nmi : nx;
             }
         }
     }
@@ -403,7 +430,7 @@ static void backward_outputs(
     int8_t *restrict lo1,
     int8_t *restrict lo2,
     uint8_t *restrict chain,
-    int64_t n_par, int32_t nm, int sh)
+    int64_t n_par, int16_t nm, int sh)
 {
     for (int64_t c = 0; c < n_par; c++) {
         const int8_t *n1c = n1 + c * LANES;
@@ -418,12 +445,13 @@ static void backward_outputs(
         int8_t *l2 = lo2 + c * LANES;
         uint8_t *chn = chain + c * LANES;
         for (int f = 0; f < LANES; f++) {
-            int bm = n1c[f] < clc[f] ? n1c[f] : clc[f];
-            bc[f] = (int8_t)((pc[f] ^ cn[f]) ? -bm : bm);
-            int cm = anc[f] < clc[f] ? anc[f] : clc[f];
-            l1[f] = (int8_t)(n1c[f] < cm ? n1c[f] : cm);
-            int lm = (int)((nm * (int32_t)m2[f]) >> sh);
-            l2[f] = (int8_t)(lm < cm ? lm : cm);
+            int8_t n1v = n1c[f], clv = clc[f];
+            int8_t bm = n1v < clv ? n1v : clv;
+            bc[f] = (pc[f] ^ cn[f]) ? (int8_t)-bm : bm;
+            int8_t cm = anc[f] < clv ? anc[f] : clv;
+            l1[f] = n1v < cm ? n1v : cm;
+            int8_t lm = norm8(m2[f], nm, sh);
+            l2[f] = lm < cm ? lm : cm;
             chn[f] = pc[f] ^ agc[f] ^ cn[f];
         }
     }
@@ -442,7 +470,7 @@ static void output_pass_slab(
     const int8_t *restrict am,
     const uint8_t *restrict chain,
     int16_t *restrict posts,
-    int64_t n_par, int t)
+    int64_t n_par, int8_t t)
 {
     for (int64_t c = 0; c < n_par; c++) {
         const int8_t *pr8 = posts8 + (int64_t)vn[c] * LANES;
@@ -452,11 +480,12 @@ static void output_pass_slab(
         const int8_t *amc = am + c * LANES;
         const uint8_t *chn = chain + c * LANES;
         int16_t *pr = posts + (int64_t)vn[c] * LANES;
+#pragma GCC ivdep
         for (int f = 0; f < LANES; f++) {
-            int vneg = pr8[f] < cv[f];  /* sign of posts - c2v */
-            int bmag = amc[f] == t ? l2[f] : l1[f];
-            int o = (chn[f] ^ vneg) ? -bmag : bmag;
-            cv[f] = (int8_t)o;
+            uint8_t vneg = pr8[f] < cv[f];  /* sign of posts - c2v */
+            int8_t bmag = amc[f] == t ? l2[f] : l1[f];
+            int8_t o = (chn[f] ^ vneg) ? (int8_t)-bmag : bmag;
+            cv[f] = o;
             pr[f] = (int16_t)(pr[f] + o);
         }
     }
@@ -490,7 +519,7 @@ static void parity_decisions(
         const int8_t *bn = b + (c + 1) * LANES;
         uint8_t *pbc = pb + c * LANES;
         for (int f = 0; f < LANES; f++)
-            pbc[f] = (int16_t)(cp[f] + fn[f] + bn[f]) < 0;
+            pbc[f] = (int8_t)(cp[f] + fn[f] + bn[f]) < 0;
     }
     {
         const int64_t c = n_par - 1;
@@ -498,7 +527,7 @@ static void parity_decisions(
         const int8_t *fn = f_new + c * LANES;
         uint8_t *pbc = pb + c * LANES;
         for (int f = 0; f < LANES; f++)
-            pbc[f] = (int16_t)(cp[f] + fn[f]) < 0;
+            pbc[f] = (int8_t)(cp[f] + fn[f]) < 0;
     }
 }
 
@@ -530,8 +559,9 @@ static void extract_lane(
  * extracted immediately and are then ignored; the remaining lanes keep
  * iterating (the extra vector work changes nothing observable).
  *
- * Caller contract: 3*mi <= 127 (int8 narrow-VN condition) and
- * (mult*m)>>shift == floor(alpha*m) for m in 0..mi.
+ * Caller contract: 3*mi <= 127 (int8 narrow-VN condition),
+ * (mult*m)>>shift == floor(alpha*m) for m in 0..mi, mult*mi <= 32767
+ * (int16 normalization product), and every channel LLR in [-mi, mi].
  */
 void zigzag_decode(
     const int16_t *ch_in,   /* (frames, k) quantized info LLRs */
@@ -549,9 +579,9 @@ void zigzag_decode(
     const int64_t e_in = width * n_par;
     const int64_t n = k + n_par;
     const int64_t n_blocks = (frames + LANES - 1) / LANES;
-    const int32_t nm = (int32_t)mult;
+    const int16_t nm = (int16_t)mult;
     const int sh = (int)shift;
-    const int imi = (int)mi;
+    const int8_t imi = (int8_t)mi;
     workspace w;
     const int have_ws = ws_alloc(&w, k, n_par, e_in);
 
@@ -610,7 +640,7 @@ void zigzag_decode(
                 vn_pass_slab(in_vn + (int64_t)t * n_par, w.posts8,
                              w.c2v + (int64_t)t * n_par * LANES,
                              w.min1, w.min2, w.am, w.par, w.synd,
-                             n_par, imi, t);
+                             n_par, imi, (int8_t)t);
 
             /* Lane bookkeeping: converged lanes first (the golden
              * model's in-loop check), then exhausted budgets. */
@@ -655,7 +685,7 @@ void zigzag_decode(
                     in_vn + (int64_t)t * n_par, w.posts8,
                     w.c2v + (int64_t)t * n_par * LANES,
                     w.lo1, w.lo2, w.am, w.chain, w.posts,
-                    n_par, t);
+                    n_par, (int8_t)t);
             clip_posts(w.posts, w.posts8, k, 2 * imi);
 
             parity_decisions(w.chp, f_new, w.b, w.pb, n_par);

@@ -239,7 +239,8 @@ class CNativeBackend(ArrayBackend):
         if np.dtype(decoder._adt).itemsize > 2:
             return None
         ms = _cnative.find_mulshift(decoder._norm_lut, mi)
-        if ms is None:
+        # The kernel forms the normalization product mult*m in int16.
+        if ms is None or ms[0] * mi > np.iinfo(np.int16).max:
             return None
         return {
             "in_vn": decoder._in_vn_i32,

@@ -525,9 +525,10 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
         llrs = np.asarray(channel_llrs, dtype=np.float64)
         if llrs.ndim != 2 or llrs.shape[1] != self.code.n:
             raise ValueError(f"expected shape (frames, {self.code.n})")
-        ch = self.quantize_channel(llrs)
-        return self.decode_quantized_batch(
-            ch, max_iterations, early_stop, iteration_trace
+        # quantize_channel saturates into the format: no range scan.
+        return self._decode_quantized(
+            self.quantize_channel(llrs), max_iterations, early_stop,
+            iteration_trace,
         )
 
     def decode_quantized_batch(
@@ -541,12 +542,30 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
 
         ``max_iterations`` may be a scalar or a ``(frames,)`` array of
         per-frame budgets; a frame freezes once its budget is spent.
+        Every value must lie in ``[fmt.min_int, fmt.max_int]``; anything
+        else raises.  Both decode paths assume ``|ch| <= max_int``, and
+        the int8 message dtype would wrap larger values (200 becomes
+        -56, a strong 0 read as a strong 1).
         """
         ch = np.asarray(ch)
         if ch.ndim != 2 or ch.shape[1] != self.code.n:
             raise ValueError(
                 f"expected shape (frames, {self.code.n}) quantized LLRs"
             )
+        lo, hi = self.fmt.min_int, self.fmt.max_int
+        if ch.size and not (lo <= ch.min() and ch.max() <= hi):
+            raise ValueError(
+                f"quantized LLRs must lie in [{lo}, {hi}] for the "
+                f"{self.fmt.total_bits}-bit format"
+            )
+        return self._decode_quantized(
+            ch, max_iterations, early_stop, iteration_trace
+        )
+
+    def _decode_quantized(
+        self, ch, max_iterations, early_stop, iteration_trace
+    ) -> BatchDecodeResult:
+        """Decode in-range quantized integers (see the public wrappers)."""
         ch = ch.astype(self._mdt)
         frames = ch.shape[0]
         budgets, limit = _normalize_iteration_budgets(

@@ -4,13 +4,16 @@ The bit-identity sweeps comparing whole decodes against the single-frame
 golden models live in ``test_batch_quantized.py`` (parametrized over all
 available backends); this module covers the seam itself — backend
 resolution and error reporting, the shared table cache, the individual
-cnative kernels against the decoders' numpy reference paths, that the
-fused fast path is actually taken, and that forked pools still decode
-after an inline cnative decode.
+cnative kernels against the decoders' numpy reference paths, the
+portable (no ``-march=native``) build, that the fused fast path is
+actually taken, the fused kernel's int8 arithmetic at the format
+bounds, and that forked pools still decode after an inline cnative
+decode.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import signal
 import subprocess
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.channel import AwgnChannel
+from repro.codes import build_small_code
 from repro.decode import (
     BatchQuantizedMinSumDecoder,
     BatchQuantizedZigzagDecoder,
@@ -31,6 +35,7 @@ from repro.decode import _cnative
 from repro.decode.backend import ArrayBackend
 from repro.decode.batch import make_batch_decoder
 from repro.encode import IraEncoder
+from repro.quantize import MESSAGE_5BIT, MESSAGE_6BIT
 from repro.sim.fast import fast_ber
 
 BACKENDS = available_backends()
@@ -254,6 +259,37 @@ def test_cnative_forward_scan_matches_decoder(code_half, rng):
     np.testing.assert_array_equal(a_neg.astype(bool), ag_ref)
 
 
+@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
+def test_portable_build_decodes_bit_identically(
+    code_half, tmp_path, monkeypatch
+):
+    """The fallback build (no -march=native) that the loader tries when
+    the native one is rejected: built and loaded here, it must decode
+    exactly as numpy does."""
+    lib_path = str(tmp_path / "zigzag_kernels_portable.so")
+    cmd = _cnative.build_command(
+        _cnative._compiler(), _cnative.PORTABLE_FLAGS, lib_path
+    )
+    assert "-march=native" not in cmd
+    subprocess.run(cmd, check=True, capture_output=True, timeout=120)
+    monkeypatch.setattr(
+        _cnative, "_STATE", (_cnative.bind(ctypes.CDLL(lib_path)), None)
+    )
+    llrs = _frame_batch(code_half, 2.2, 33, seed=21, hopeless=2)
+    dec = BatchQuantizedZigzagDecoder(
+        code_half, normalization=0.75, channel_scale=0.5,
+        backend="cnative",
+    )
+    assert dec._fused_plan is not None
+    ref = BatchQuantizedZigzagDecoder(
+        code_half, normalization=0.75, channel_scale=0.5
+    )
+    _assert_results_equal(
+        ref.decode_batch(llrs, max_iterations=20),
+        dec.decode_batch(llrs, max_iterations=20),
+    )
+
+
 # ---------------------------------------------------------------------------
 # The fast paths are actually taken (not silently falling back)
 
@@ -299,6 +335,110 @@ def test_per_frame_budgets_match_across_backends(code_half, backend):
         _assert_results_equal(
             ref.decode_batch(llrs, budgets, early_stop=early_stop),
             dec.decode_batch(llrs, budgets, early_stop=early_stop),
+        )
+
+
+@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
+def test_fused_plan_declines_wide_normalization_product(
+    code_half, monkeypatch
+):
+    """The kernel multiplies in int16: a (mult, shift) pair whose
+    product mult*max_int overflows it takes the numpy path instead."""
+    dec = BatchQuantizedZigzagDecoder(code_half, backend="cnative")
+    mi = int(dec.fmt.max_int)
+    mult, shift = _cnative.find_mulshift(dec._norm_lut, mi)
+    assert mult * mi <= 32767
+    # The same LUT from a scaled pair whose product needs 17 bits.
+    grow = (32767 // (mult * mi)).bit_length() + 1
+    wide = (mult << grow, shift + grow)
+    assert np.array_equal(
+        wide[0] * np.arange(mi + 1) >> wide[1], dec._norm_lut
+    )
+    monkeypatch.setattr(_cnative, "find_mulshift", lambda lut, m: wide)
+    assert dec.backend.fused_zigzag_plan(dec) is None
+
+
+# ---------------------------------------------------------------------------
+# Range limits: the fused kernel's int8 arithmetic at the format bounds
+
+_RANGE_RATES = ("1/4", "1/2", "9/10")
+_RANGE_FORMATS = {5: MESSAGE_5BIT, 6: MESSAGE_6BIT}
+_RANGE_ALPHAS = (0.5, 0.625, 0.75, 0.875, 1.0)
+#: The tier-1 slice (the rest of the grid is marked slow): every rate,
+#: both formats, and the two alphas whose 6-bit normalization product
+#: mult*31 overflows int8 (0.625 and 0.875).
+_RANGE_TIER1 = {
+    ("1/4", 6, 0.625), ("1/2", 6, 0.875), ("9/10", 6, 0.875),
+    ("9/10", 5, 0.5),
+}
+
+
+def _range_frames(n_frames, n, mi, rng):
+    """Frames pinned at the format bounds, cycling six patterns: all
+    +mi, all -mi, random +-mi, uniform in [-mi, mi], +mi with 10 %
+    -mi, and all zero."""
+    frames = np.empty((n_frames, n), dtype=np.int32)
+    for i in range(n_frames):
+        kind = i % 6
+        if kind == 0:
+            frames[i] = mi
+        elif kind == 1:
+            frames[i] = -mi
+        elif kind == 2:
+            frames[i] = mi * rng.choice((-1, 1), n)
+        elif kind == 3:
+            frames[i] = rng.integers(-mi, mi + 1, n)
+        elif kind == 4:
+            frames[i] = np.where(rng.random(n) < 0.1, -mi, mi)
+        else:
+            frames[i] = 0
+    return frames
+
+
+@pytest.fixture(scope="module")
+def range_codes():
+    return {
+        rate: build_small_code(rate, parallelism=36)
+        for rate in _RANGE_RATES
+    }
+
+
+@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
+@pytest.mark.parametrize(
+    "rate,bits,alpha",
+    [
+        pytest.param(
+            rate, bits, alpha,
+            marks=() if (rate, bits, alpha) in _RANGE_TIER1
+            else pytest.mark.slow,
+        )
+        for rate in _RANGE_RATES
+        for bits in _RANGE_FORMATS
+        for alpha in _RANGE_ALPHAS
+    ],
+)
+def test_fused_kernel_parity_at_range_limits(range_codes, rate, bits, alpha):
+    """33 frames (one full 32-lane block plus one partial) at the format
+    bounds, random per-frame budgets, early stop on and off: the fused
+    kernel matches the numpy backend bit for bit.  Rate 9/10 has the
+    widest check (28 info slots)."""
+    code = range_codes[rate]
+    fmt = _RANGE_FORMATS[bits]
+    mi = fmt.max_int
+    rng = np.random.default_rng([bits, int(alpha * 1000), len(rate)])
+    ch = _range_frames(33, code.n, mi, rng)
+    budgets = rng.integers(1, 40, 33)
+    ref = BatchQuantizedZigzagDecoder(
+        code, fmt=fmt, normalization=alpha
+    )
+    dec = BatchQuantizedZigzagDecoder(
+        code, fmt=fmt, normalization=alpha, backend="cnative"
+    )
+    assert dec._fused_plan is not None
+    for early_stop in (True, False):
+        _assert_results_equal(
+            ref.decode_quantized_batch(ch, budgets, early_stop),
+            dec.decode_quantized_batch(ch, budgets, early_stop),
         )
 
 

@@ -173,6 +173,31 @@ def test_decode_quantized_batch_accepts_integers(code_half):
     assert np.array_equal(via_float.iterations, via_int.iterations)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_decode_quantized_batch_rejects_out_of_format(code_half, backend):
+    """The int8 message dtype would wrap integers outside the 6-bit
+    format (200 becomes -56, a strong 0 read as a strong 1), so they
+    raise; values on the bounds +-31 decode as the float path does."""
+    _, llrs = _frame_batch(code_half, 2.5, 2, seed=9)
+    batch = BatchQuantizedZigzagDecoder(
+        code_half, normalization=0.75, channel_scale=0.5, segments=36,
+        backend=backend,
+    )
+    strong = 40.0 * llrs  # saturates most values at +-31
+    ints = batch.quantize_channel(strong)
+    assert ints.min() == -31 and ints.max() == 31
+    for bad in (32, 200, -32):
+        wrapped = ints.copy()
+        wrapped[1, 7] = bad
+        with pytest.raises(ValueError, match=r"\[-31, 31\]"):
+            batch.decode_quantized_batch(wrapped)
+    via_int = batch.decode_quantized_batch(ints, max_iterations=10)
+    via_float = batch.decode_batch(strong, max_iterations=10)
+    assert np.array_equal(via_float.bits, via_int.bits)
+    assert np.array_equal(via_float.iterations, via_int.iterations)
+    assert np.array_equal(via_float.converged, via_int.converged)
+
+
 def test_trace_hook_observes_without_perturbing(code_half):
     _, llrs = _frame_batch(code_half, 2.2, 3, seed=13, hopeless=1)
     batch = BatchQuantizedZigzagDecoder(
