@@ -102,8 +102,15 @@ class AwgnChannel:
         so batched and per-frame simulations see the same noise.
         """
         shape = n if size is None else (size, n)
-        received = 1.0 + self._rng.normal(0.0, self.sigma, size=shape)
-        return self.llr_scale * received
+        # llr_scale * (1.0 + normal(0.0, sigma)) with no temporaries:
+        # normal(0.0, sigma) is 0.0 + sigma * standard_normal on the
+        # same stream, and 1.0 + x absorbs the sign of a zero x, so the
+        # in-place steps give the same bits.
+        llrs = self._rng.standard_normal(size=shape)
+        llrs *= self.sigma
+        llrs += 1.0
+        llrs *= self.llr_scale
+        return llrs
 
     def reseed(self, seed: int) -> None:
         """Restart the noise stream deterministically."""

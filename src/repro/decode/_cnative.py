@@ -35,7 +35,6 @@ _STATE: Optional[tuple] = None
 
 _I8 = ctypes.POINTER(ctypes.c_int8)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
-_I16 = ctypes.POINTER(ctypes.c_int16)
 _I32 = ctypes.POINTER(ctypes.c_int32)
 _I64 = ctypes.POINTER(ctypes.c_int64)
 
@@ -100,7 +99,7 @@ def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.zigzag_decode.restype = None
     lib.zigzag_decode.argtypes = [
-        _I16, _I8, _I32,
+        _I8, _I32,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64,
@@ -205,9 +204,9 @@ def find_mulshift(lut: np.ndarray, max_int: int) -> Optional[tuple]:
 
 
 def zigzag_decode(
-    ch_in: np.ndarray,
-    ch_pn: np.ndarray,
+    ch: np.ndarray,
     in_vn: np.ndarray,
+    k: int,
     width: int,
     seg: int,
     mi: int,
@@ -216,19 +215,23 @@ def zigzag_decode(
     budgets: np.ndarray,
     early_stop: bool,
 ) -> tuple:
-    """Decode a whole quantized batch to completion in C."""
+    """Decode a whole quantized batch to completion in C.
+
+    ``ch`` is the ``(frames, n)`` C-contiguous int8 matrix of channel
+    LLRs: the ``k`` info values of each frame, then its parity values.
+    """
     lib, reason = load()
     if lib is None:  # pragma: no cover - guarded by the backend
         raise RuntimeError(reason)
-    frames, k = ch_in.shape
-    n_par = ch_pn.shape[1]
-    bits = np.empty((frames, k + n_par), dtype=np.uint8)
+    if ch.ndim != 2 or ch.dtype != np.int8 or not ch.flags.c_contiguous:
+        raise ValueError("ch must be a C-contiguous int8 (frames, n) matrix")
+    frames, n = ch.shape
+    bits = np.empty((frames, n), dtype=np.uint8)
     converged = np.zeros(frames, dtype=np.uint8)
     iterations = np.zeros(frames, dtype=np.int64)
     lib.zigzag_decode(
-        _ptr(ch_in, ctypes.c_int16), _ptr(ch_pn, ctypes.c_int8),
-        _ptr(in_vn, ctypes.c_int32),
-        frames, k, n_par, width, seg, mi, mult, shift,
+        _ptr(ch, ctypes.c_int8), _ptr(in_vn, ctypes.c_int32),
+        frames, k, n - k, width, seg, mi, mult, shift,
         _ptr(budgets, ctypes.c_int64), int(bool(early_stop)),
         _ptr(bits, ctypes.c_uint8), _ptr(converged, ctypes.c_uint8),
         _ptr(iterations, ctypes.c_int64),

@@ -16,6 +16,25 @@
  * pointers; without that the compiler gives up on the alias run-time
  * checks and leaves the lane loops scalar.
  *
+ * One iteration is three sweeps over the checks:
+ *   - pass A, the VN phase and the check min scan, two slabs (info
+ *     slots) per sweep;
+ *   - the check pass, one linear pass in the paper's zigzag order:
+ *     the forward message rides in registers from check to check and
+ *     straight into the next check, only the backward messages b are
+ *     stored (in place), and the parity decision of check c is emitted
+ *     at check c+1, once b[c+1] is known;
+ *   - pass C, the output blend and posterior scatter-add, two slabs
+ *     per sweep.
+ * Pairing two slabs halves the passes over the check state; visiting
+ * all slabs of a check at once loses each slab's VN locality and was
+ * measured 2.5x slower, so do not go past pairs without a paired A/B.
+ * On the 64800-bit rate-1/2 code (32 frames, 3.0 dB, 2-CPU Intel Xeon
+ * host) one call takes about 190 ms: pass C 45 %, pass A 30 %, the
+ * check pass 19 % (1.2 ms per iteration), input transposes 2 %; the
+ * workspace is 20.8 MB.  docs/backends.md has the measurements and
+ * the exactness argument in full.
+ *
  * Every routine runs on the calling thread.  Parallelism comes from the
  * worker processes above it (the Monte-Carlo shards, the serve pool and
  * the fabric all fork), never from threads in here: a threaded runtime
@@ -33,8 +52,9 @@
  *     difference saturates to the same v2c — the numpy decoder's
  *     "narrow" path uses the identical argument);
  *   - c2v, the channel parity LLRs, f and b all lie within +-mi, so
- *     every sum or difference the kernel forms — p - c2v, chp + b_old,
- *     chp + f and chp + f + b — lies within +-3*mi and is exact in int8;
+ *     every sum or difference the kernel forms — p - c2v, chp + b,
+ *     chp + f and chp + f + b — lies within +-3*mi and is exact in int8
+ *     (the carried chp + f lies within +-2*mi);
  *   - magnitude normalization floor(alpha*m) is an exact multiply-shift
  *     (mult*m)>>shift (the caller verifies it reproduces the decoder's
  *     LUT for every m in 0..mi, so there are no table gathers), and
@@ -42,18 +62,20 @@
  * Written with int temporaries, GCC 12 widens every int8 lane to int32
  * and packs it back, more than doubling the instructions per lane row;
  * the int8 locals below keep each pass one vector wide.  Pass C carries
- * "#pragma GCC ivdep": its posterior row is picked per check at run
+ * "#pragma GCC ivdep": its posterior rows are picked per check at run
  * time, so GCC would otherwise version the lane loop with about 30
  * instructions of overlap checks before every 32-lane row (and a scalar
  * fallback loop).  The lanes of one row never overlap (c2v, posts and
- * posts8 are disjoint parts of the workspace), so the pragma removes
- * only the check.
+ * posts8 are disjoint parts of the workspace), and the two rows of a
+ * paired sweep are distinct VNs because the caller declines codes with
+ * a VN twice in one check, so the pragma removes only the check.
  *
  * Layout conventions (see repro.decode.batch_quantized):
  *   - info-edge storage is slot-major: edge (cn, t) of the dense
  *     n_par x width grid lives at index t*n_par + cn;
  *   - messages are int8 (formats up to 7 bits), VN accumulators int16.
  */
+
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -155,48 +177,53 @@ void zigzag_forward_scan(
     }
 }
 
+
 /* ------------------------------------------------------------------ */
 /* Lane-blocked zigzag decode.  Every per-frame array is lane-minor:
  * element i of lane f lives at [i*LANES + f].                         */
 
+/* Rows per tile of the input transpose: a tile's 32 source runs and
+ * its lane-minor destination (8 KB each) stay in L1 together. */
+#define TILE 256
+
 typedef struct {
-    int16_t *chi;    /* (k, LANES) channel info LLRs */
-    int8_t *chp;     /* (n_par, LANES) channel parity LLRs */
     int16_t *posts;  /* (k, LANES) wide info posteriors */
+    int8_t *ch;      /* (k + n_par, LANES) channel LLRs, info then parity */
     int8_t *posts8;  /* (k, LANES) posteriors clipped to +-2*mi */
     int8_t *c2v;     /* (e_in, LANES) check-to-VN messages */
-    int8_t *f_a;     /* (n_par, LANES) forward messages (double buf) */
-    int8_t *f_b;
-    int8_t *b_old;   /* (n_par + 1, LANES) backward messages */
-    int8_t *b;       /* (n_par, LANES) */
-    int8_t *min1;    /* (n_par, LANES) */
+    int8_t *b;       /* (n_par + 1, LANES) backward messages; the last
+                      * row stays 0 */
+    int8_t *fend_a;  /* (seg, LANES) last forward message of each */
+    int8_t *fend_b;  /* segment (double buffer) */
+    int8_t *min1;    /* (n_par, LANES) check state from pass A */
     int8_t *min2;
     int8_t *am;      /* argmin slab index */
-    int8_t *n1;      /* normalized min1 */
-    int8_t *cl;      /* normalized |c_in| */
-    int8_t *lo1;
-    int8_t *lo2;
-    int8_t *anorm;
     uint8_t *par;    /* check parity sign */
-    uint8_t *cneg;
-    uint8_t *chain;
-    uint8_t *aneg;
     uint8_t *synd;
-    uint8_t *pb;     /* (n_par, LANES) parity-bit decisions */
+    int8_t *lo1;     /* (n_par, LANES) output magnitudes for pass C */
+    int8_t *lo2;
+    uint8_t *chain;  /* output sign of the parity chain */
+    uint8_t *pb;     /* (n_par, LANES) parity-bit decisions, after one
+                      * guard row that stays 0 */
     void *base;      /* the malloc'd block, for free() */
 } workspace;
 
-static int ws_alloc(workspace *w, int64_t k, int64_t n_par, int64_t e_in)
+static int ws_alloc(
+    workspace *w, int64_t k, int64_t n_par, int64_t e_in, int64_t seg)
 {
     const int64_t L = LANES;
     int64_t bytes =
-        k * L * 5 +                     /* chi, posts (int16), posts8 */
+        k * L * 3 +                     /* posts (int16), posts8 */
+        (k + n_par) * L +               /* ch */
         e_in * L +                      /* c2v */
-        (n_par + 1) * L * 24;           /* everything else, padded */
-    /* Fields start at the first 64-byte boundary of the block.  Every
-     * field is a whole number of 32-byte lane rows, so no row then
-     * straddles two cache lines.  malloc only guarantees 16 bytes: a
-     * block 16 or 48 bytes past a line splits half the rows, and which
+        seg * L * 2 +                   /* fend_a, fend_b */
+        n_par * L * 8 +                 /* check state, pass C inputs */
+        (n_par + 1) * L * 2;            /* b, pb (one extra row each) */
+    /* Fields start at the first 64-byte boundary of the block: posts
+     * comes first, so its 64-byte rows sit on cache lines, and every
+     * later field is a whole number of 32-byte lane rows, so no row
+     * straddles two lines.  malloc only guarantees 16 bytes: a block
+     * 16 or 48 bytes past a line splits half the rows, and which
      * offset a call got depended on the heap's state (3-15 % slower
      * decodes on the P=36 codes, changing from process to process). */
     char *p = malloc((size_t)bytes + 63);
@@ -205,30 +232,24 @@ static int ws_alloc(workspace *w, int64_t k, int64_t n_par, int64_t e_in)
     p = (char *)(((uintptr_t)p + 63) & ~(uintptr_t)63);
 #define TAKE(field, type, count) \
     w->field = (type *)p; p += (int64_t)(count) * L * sizeof(type);
-    TAKE(chi, int16_t, k)
     TAKE(posts, int16_t, k)
+    TAKE(ch, int8_t, k + n_par)
     TAKE(posts8, int8_t, k)
-    TAKE(chp, int8_t, n_par)
     TAKE(c2v, int8_t, e_in)
-    TAKE(f_a, int8_t, n_par)
-    TAKE(f_b, int8_t, n_par)
-    TAKE(b_old, int8_t, n_par + 1)
-    TAKE(b, int8_t, n_par)
+    TAKE(b, int8_t, n_par + 1)
+    TAKE(fend_a, int8_t, seg)
+    TAKE(fend_b, int8_t, seg)
     TAKE(min1, int8_t, n_par)
     TAKE(min2, int8_t, n_par)
     TAKE(am, int8_t, n_par)
-    TAKE(n1, int8_t, n_par)
-    TAKE(cl, int8_t, n_par)
+    TAKE(par, uint8_t, n_par)
+    TAKE(synd, uint8_t, n_par)
     TAKE(lo1, int8_t, n_par)
     TAKE(lo2, int8_t, n_par)
-    TAKE(anorm, int8_t, n_par)
-    TAKE(par, uint8_t, n_par)
-    TAKE(cneg, uint8_t, n_par)
     TAKE(chain, uint8_t, n_par)
-    TAKE(aneg, uint8_t, n_par)
-    TAKE(synd, uint8_t, n_par)
-    TAKE(pb, uint8_t, n_par)
+    TAKE(pb, uint8_t, n_par + 1)
 #undef TAKE
+    w->pb += L;
     return 1;
 }
 
@@ -238,10 +259,35 @@ static inline int8_t norm8(int8_t m, int16_t nm, int sh)
     return (int8_t)((int16_t)(nm * m) >> sh);
 }
 
-/* Pass A, slab t=0: the VN update v2c = clip(posts - c2v, +-mi) seeds
- * the min scan, the check parity sign, and the IRA syndrome of the
- * previous iteration's decision.  v2c itself is not stored — the
- * output pass recomputes its sign from the same inputs. */
+/* One lane of one slab in pass A: the VN update v2c = clip(p - cv,
+ * +-mi) folded into its check's running state — the min1/min2/argmin
+ * scan (strict-less, first occurrence: the numpy batch ordering), the
+ * check parity sign, and the syndrome bit of the decision sign(p).
+ * v2c itself is not stored: pass C recomputes its sign from the same
+ * unchanged inputs. */
+static inline void scan_lane(
+    int8_t p, int8_t cv, int8_t t, int8_t mi,
+    int8_t *m1, int8_t *m2, int8_t *am, uint8_t *pc, uint8_t *sy)
+{
+    const int8_t nmi = (int8_t)-mi;
+    *sy ^= (uint8_t)(p < 0);
+    int8_t v = (int8_t)(p - cv);
+    v = v > mi ? mi : v;
+    v = v < nmi ? nmi : v;
+    *pc ^= (uint8_t)(v < 0);
+    int8_t mag = (int8_t)(v < 0 ? -v : v);
+    int8_t a = *m1, b = *m2;
+    int lt = mag < a;
+    *m2 = lt ? a : (b < mag ? b : mag);
+    *m1 = lt ? mag : a;
+    *am = lt ? t : *am;
+}
+
+/* Pass A, slab 0 alone: used when the width is odd.  Each check
+ * starts from min1 = min2 = mi, argmin 0 and parity 0 — slab 0 then
+ * sets min1 = |v2c| and keeps min2 = mi and argmin = 0, as a first
+ * slab must — and from the IRA syndrome of the previous decision's
+ * parity bits, pb[c] ^ pb[c-1] (the guard row makes pb[-1] = 0). */
 static void vn_pass_first(
     const int32_t *restrict vn,
     const int8_t *restrict posts8,
@@ -254,41 +300,70 @@ static void vn_pass_first(
     const uint8_t *restrict pb,
     int64_t n_par, int8_t mi)
 {
-    const int8_t nmi = (int8_t)-mi;
     for (int64_t c = 0; c < n_par; c++) {
         const int8_t *pr = posts8 + (int64_t)vn[c] * LANES;
         const int8_t *cv = c2v + c * LANES;
+        const uint8_t *pbc = pb + c * LANES;
+        const uint8_t *pbp = pb + (c - 1) * LANES;
         int8_t *m1 = min1 + c * LANES;
         int8_t *m2 = min2 + c * LANES;
         int8_t *amc = am + c * LANES;
         uint8_t *pc = par + c * LANES;
         uint8_t *sy = synd + c * LANES;
-        const uint8_t *pbc = pb + c * LANES;
-        const uint8_t *pbp = pb + (c - 1) * LANES;
-        if (c)
-            for (int f = 0; f < LANES; f++)
-                sy[f] = pbc[f] ^ pbp[f] ^ (uint8_t)(pr[f] < 0);
-        else
-            for (int f = 0; f < LANES; f++)
-                sy[f] = pbc[f] ^ (uint8_t)(pr[f] < 0);
         for (int f = 0; f < LANES; f++) {
-            int8_t v = (int8_t)(pr[f] - cv[f]);
-            v = v > mi ? mi : v;
-            v = v < nmi ? nmi : v;
-            m1[f] = (int8_t)(v < 0 ? -v : v);
-            m2[f] = mi;
-            amc[f] = 0;
-            pc[f] = v < 0;
+            int8_t s1 = mi, s2 = mi, sa = 0;
+            uint8_t sp = 0, ss = (uint8_t)(pbc[f] ^ pbp[f]);
+            scan_lane(pr[f], cv[f], 0, mi, &s1, &s2, &sa, &sp, &ss);
+            m1[f] = s1; m2[f] = s2; amc[f] = sa; pc[f] = sp; sy[f] = ss;
         }
     }
 }
 
-/* Pass A, slabs t>=1: online min1/min2/argmin scan (strict-less,
- * first occurrence — the numpy batch ordering). */
-static void vn_pass_slab(
-    const int32_t *restrict vn,
+/* Pass A, slabs 0 and 1 in one sweep (used when the width is even),
+ * from the same starting state as vn_pass_first. */
+static void vn_pass_first_pair(
+    const int32_t *restrict vn0,
+    const int32_t *restrict vn1,
     const int8_t *restrict posts8,
-    const int8_t *restrict c2v,
+    const int8_t *restrict c2v0,
+    const int8_t *restrict c2v1,
+    int8_t *restrict min1,
+    int8_t *restrict min2,
+    int8_t *restrict am,
+    uint8_t *restrict par,
+    uint8_t *restrict synd,
+    const uint8_t *restrict pb,
+    int64_t n_par, int8_t mi)
+{
+    for (int64_t c = 0; c < n_par; c++) {
+        const int8_t *pr0 = posts8 + (int64_t)vn0[c] * LANES;
+        const int8_t *pr1 = posts8 + (int64_t)vn1[c] * LANES;
+        const int8_t *cv0 = c2v0 + c * LANES;
+        const int8_t *cv1 = c2v1 + c * LANES;
+        const uint8_t *pbc = pb + c * LANES;
+        const uint8_t *pbp = pb + (c - 1) * LANES;
+        int8_t *m1 = min1 + c * LANES;
+        int8_t *m2 = min2 + c * LANES;
+        int8_t *amc = am + c * LANES;
+        uint8_t *pc = par + c * LANES;
+        uint8_t *sy = synd + c * LANES;
+        for (int f = 0; f < LANES; f++) {
+            int8_t s1 = mi, s2 = mi, sa = 0;
+            uint8_t sp = 0, ss = (uint8_t)(pbc[f] ^ pbp[f]);
+            scan_lane(pr0[f], cv0[f], 0, mi, &s1, &s2, &sa, &sp, &ss);
+            scan_lane(pr1[f], cv1[f], 1, mi, &s1, &s2, &sa, &sp, &ss);
+            m1[f] = s1; m2[f] = s2; amc[f] = sa; pc[f] = sp; sy[f] = ss;
+        }
+    }
+}
+
+/* Pass A, slabs t and t+1 (t >= 1) in one sweep, in slab order. */
+static void vn_pass_pair(
+    const int32_t *restrict vn0,
+    const int32_t *restrict vn1,
+    const int8_t *restrict posts8,
+    const int8_t *restrict c2v0,
+    const int8_t *restrict c2v1,
     int8_t *restrict min1,
     int8_t *restrict min2,
     int8_t *restrict am,
@@ -296,28 +371,23 @@ static void vn_pass_slab(
     uint8_t *restrict synd,
     int64_t n_par, int8_t mi, int8_t t)
 {
-    const int8_t nmi = (int8_t)-mi;
+    const int8_t t1 = (int8_t)(t + 1);
     for (int64_t c = 0; c < n_par; c++) {
-        const int8_t *pr = posts8 + (int64_t)vn[c] * LANES;
-        const int8_t *cv = c2v + c * LANES;
+        const int8_t *pr0 = posts8 + (int64_t)vn0[c] * LANES;
+        const int8_t *pr1 = posts8 + (int64_t)vn1[c] * LANES;
+        const int8_t *cv0 = c2v0 + c * LANES;
+        const int8_t *cv1 = c2v1 + c * LANES;
         int8_t *m1 = min1 + c * LANES;
         int8_t *m2 = min2 + c * LANES;
         int8_t *amc = am + c * LANES;
         uint8_t *pc = par + c * LANES;
         uint8_t *sy = synd + c * LANES;
         for (int f = 0; f < LANES; f++) {
-            int8_t p = pr[f];
-            sy[f] ^= (uint8_t)(p < 0);
-            int8_t v = (int8_t)(p - cv[f]);
-            v = v > mi ? mi : v;
-            v = v < nmi ? nmi : v;
-            pc[f] ^= (uint8_t)(v < 0);
-            int8_t mag = (int8_t)(v < 0 ? -v : v);
-            int8_t a = m1[f], b = m2[f];
-            int lt = mag < a;
-            m2[f] = lt ? a : (b < mag ? b : mag);
-            m1[f] = lt ? mag : a;
-            amc[f] = lt ? t : amc[f];
+            int8_t s1 = m1[f], s2 = m2[f], sa = amc[f];
+            uint8_t sp = pc[f], ss = sy[f];
+            scan_lane(pr0[f], cv0[f], t, mi, &s1, &s2, &sa, &sp, &ss);
+            scan_lane(pr1[f], cv1[f], t1, mi, &s1, &s2, &sa, &sp, &ss);
+            m1[f] = s1; m2[f] = s2; amc[f] = sa; pc[f] = sp; sy[f] = ss;
         }
     }
 }
@@ -334,133 +404,127 @@ static void synd_reduce(
     }
 }
 
-/* Chain input c_in = clip(ch_pn + b_old[1:]) and the normalized
- * magnitudes lut[|c_in|], lut[min1]. */
-static void chain_inputs(
+/* The check side of one iteration: one linear pass over the checks,
+ * the paper's forward/backward zigzag schedule.  Per check c:
+ *
+ *   c_in = clip(chp + b[c+1], +-mi)        b[c+1] still from the last
+ *                                          iteration (check c+1 writes
+ *                                          it later; b[n_par] is 0)
+ *   f    = sign * min(n1, norm|a|)         a = forward chain input,
+ *                                          carried in registers
+ *   b[c] = sign * min(n1, norm|c_in|)      updated in place
+ *   lo1, lo2, chain                        pass C's output blend
+ *   pb[c-1] = (chp + f)[c-1] + b[c] < 0    parity decision, one late
+ *
+ * Each segment's forward chain starts at mi (segment 0) or from the
+ * previous iteration's forward message at the end of the segment
+ * before it, which is all of the last iteration's f that the scan
+ * reads — so only those seg rows are stored, double-buffered.  The
+ * carried chp + f lies within +-2*mi; it starts at mi so the decision
+ * "emitted" at check 0 into the guard row pb[-1] is always 0.  The
+ * last check's decision is chp + f alone. */
+static void check_pass(
     const int8_t *restrict chp,
-    const int8_t *restrict b_old,
     const int8_t *restrict min1,
-    uint8_t *restrict cneg,
-    int8_t *restrict cl,
-    int8_t *restrict n1,
-    int64_t n_par, int8_t mi, int16_t nm, int sh)
-{
-    const int8_t nmi = (int8_t)-mi;
-    for (int64_t c = 0; c < n_par; c++) {
-        const int8_t *cp = chp + c * LANES;
-        const int8_t *bo = b_old + (c + 1) * LANES;
-        const int8_t *m1 = min1 + c * LANES;
-        uint8_t *cn = cneg + c * LANES;
-        int8_t *clc = cl + c * LANES;
-        int8_t *n1c = n1 + c * LANES;
-        for (int f = 0; f < LANES; f++) {
-            int8_t ci = (int8_t)(cp[f] + bo[f]);
-            ci = ci > mi ? mi : ci;
-            ci = ci < nmi ? nmi : ci;
-            cn[f] = ci < 0;
-            clc[f] = norm8((int8_t)(ci < 0 ? -ci : ci), nm, sh);
-            n1c[f] = norm8(m1[f], nm, sh);
-        }
-    }
-}
-
-/* Forward scan: serial along each segment, SIMD across lanes. */
-static void forward_scan_blk(
-    const int8_t *restrict n1,
+    const int8_t *restrict min2,
     const uint8_t *restrict par,
-    const int8_t *restrict chp,
-    const int8_t *restrict f_old,
-    int8_t *restrict f_new,
-    int8_t *restrict anorm,
-    uint8_t *restrict aneg,
+    const int8_t *restrict fend_old,
+    int8_t *restrict fend_new,
+    int8_t *restrict b,
+    int8_t *restrict lo1,
+    int8_t *restrict lo2,
+    uint8_t *restrict chain,
+    uint8_t *restrict pb,
     int64_t n_par, int64_t seg, int8_t mi, int16_t nm, int sh)
 {
     const int8_t nmi = (int8_t)-mi;
     const int64_t q = n_par / seg;
+    int8_t a[LANES];   /* forward chain input of the current check */
+    int8_t cf[LANES];  /* chp + f of the previous check */
+    for (int f = 0; f < LANES; f++)
+        cf[f] = mi;
     for (int64_t s = 0; s < seg; s++) {
         const int64_t base = s * q;
-        int8_t a[LANES];
         if (s == 0) {
             for (int f = 0; f < LANES; f++)
                 a[f] = mi;
         } else {
             const int8_t *cp = chp + (base - 1) * LANES;
-            const int8_t *fo = f_old + (base - 1) * LANES;
+            const int8_t *fo = fend_old + (s - 1) * LANES;
             for (int f = 0; f < LANES; f++) {
                 int8_t av = (int8_t)(cp[f] + fo[f]);
                 av = av > mi ? mi : av;
                 a[f] = av < nmi ? nmi : av;
             }
         }
-        for (int64_t j = 0; j < q; j++) {
-            const int64_t i = base + j;
-            const int8_t *n1c = n1 + i * LANES;
-            const uint8_t *pc = par + i * LANES;
-            const int8_t *cp = chp + i * LANES;
-            int8_t *anc = anorm + i * LANES;
-            uint8_t *agc = aneg + i * LANES;
-            int8_t *fn = f_new + i * LANES;
+        for (int64_t c = base; c < base + q; c++) {
+            const int8_t *cp = chp + c * LANES;
+            const int8_t *m1 = min1 + c * LANES;
+            const int8_t *m2 = min2 + c * LANES;
+            const uint8_t *pc = par + c * LANES;
+            const int8_t *bn = b + (c + 1) * LANES;
+            int8_t *bc = b + c * LANES;
+            int8_t *l1 = lo1 + c * LANES;
+            int8_t *l2 = lo2 + c * LANES;
+            uint8_t *chn = chain + c * LANES;
+            uint8_t *pbp = pb + (c - 1) * LANES;
             for (int f = 0; f < LANES; f++) {
+                int8_t ci = (int8_t)(cp[f] + bn[f]);
+                ci = ci > mi ? mi : ci;
+                ci = ci < nmi ? nmi : ci;
+                uint8_t cn = ci < 0;
+                int8_t clv = norm8((int8_t)(cn ? -ci : ci), nm, sh);
+                int8_t n1v = norm8(m1[f], nm, sh);
                 int8_t av = a[f];
                 uint8_t ang = av < 0;
                 int8_t anv = norm8((int8_t)(ang ? -av : av), nm, sh);
-                anc[f] = anv;
-                agc[f] = ang;
-                int8_t fm = n1c[f] < anv ? n1c[f] : anv;
-                int8_t fv = (ang ^ pc[f]) ? (int8_t)-fm : fm;
-                fn[f] = fv;
-                int8_t nx = (int8_t)(cp[f] + fv);
-                nx = nx > mi ? mi : nx;
-                a[f] = nx < nmi ? nmi : nx;
+                uint8_t pcv = pc[f];
+                int8_t fm = n1v < anv ? n1v : anv;
+                int8_t fv = (ang ^ pcv) ? (int8_t)-fm : fm;
+                int8_t bm = n1v < clv ? n1v : clv;
+                int8_t bv = (pcv ^ cn) ? (int8_t)-bm : bm;
+                bc[f] = bv;
+                pbp[f] = (int8_t)(cf[f] + bv) < 0;
+                int8_t cfv = (int8_t)(cp[f] + fv);
+                cf[f] = cfv;
+                cfv = cfv > mi ? mi : cfv;
+                a[f] = cfv < nmi ? nmi : cfv;
+                int8_t cm = anv < clv ? anv : clv;
+                l1[f] = n1v < cm ? n1v : cm;
+                int8_t lm = norm8(m2[f], nm, sh);
+                l2[f] = lm < cm ? lm : cm;
+                chn[f] = pcv ^ ang ^ cn;
             }
         }
-    }
-}
-
-/* Backward message b and the two candidate output magnitudes. */
-static void backward_outputs(
-    const int8_t *restrict n1,
-    const int8_t *restrict cl,
-    const int8_t *restrict min2,
-    const int8_t *restrict anorm,
-    const uint8_t *restrict par,
-    const uint8_t *restrict cneg,
-    const uint8_t *restrict aneg,
-    int8_t *restrict b,
-    int8_t *restrict lo1,
-    int8_t *restrict lo2,
-    uint8_t *restrict chain,
-    int64_t n_par, int16_t nm, int sh)
-{
-    for (int64_t c = 0; c < n_par; c++) {
-        const int8_t *n1c = n1 + c * LANES;
-        const int8_t *clc = cl + c * LANES;
-        const int8_t *m2 = min2 + c * LANES;
-        const int8_t *anc = anorm + c * LANES;
-        const uint8_t *pc = par + c * LANES;
-        const uint8_t *cn = cneg + c * LANES;
-        const uint8_t *agc = aneg + c * LANES;
-        int8_t *bc = b + c * LANES;
-        int8_t *l1 = lo1 + c * LANES;
-        int8_t *l2 = lo2 + c * LANES;
-        uint8_t *chn = chain + c * LANES;
-        for (int f = 0; f < LANES; f++) {
-            int8_t n1v = n1c[f], clv = clc[f];
-            int8_t bm = n1v < clv ? n1v : clv;
-            bc[f] = (pc[f] ^ cn[f]) ? (int8_t)-bm : bm;
-            int8_t cm = anc[f] < clv ? anc[f] : clv;
-            l1[f] = n1v < cm ? n1v : cm;
-            int8_t lm = norm8(m2[f], nm, sh);
-            l2[f] = lm < cm ? lm : cm;
-            chn[f] = pc[f] ^ agc[f] ^ cn[f];
+        {   /* the segment's last f, recovered exactly from chp + f */
+            const int8_t *cp = chp + (base + q - 1) * LANES;
+            int8_t *fe = fend_new + s * LANES;
+            for (int f = 0; f < LANES; f++)
+                fe[f] = (int8_t)(cf[f] - cp[f]);
         }
     }
+    {
+        uint8_t *pbl = pb + (n_par - 1) * LANES;
+        for (int f = 0; f < LANES; f++)
+            pbl[f] = cf[f] < 0;
+    }
 }
 
-/* Pass C, one slab: output blend + wide decision scatter-add.  The
- * v2c sign is recomputed from the unchanged posts8/c2v instead of
- * being stored by pass A.  Scatter rows are shared across lanes, so
- * the inner loop is still a contiguous vector add. */
+/* One lane of one slab in pass C: the output blend c2v = sign *
+ * (argmin slab ? lo2 : lo1), with the v2c sign recomputed from the
+ * unchanged posts8/c2v instead of being stored by pass A. */
+static inline int8_t output_lane(
+    int8_t p8, int8_t cv, int8_t t, int8_t l1, int8_t l2, int8_t am,
+    uint8_t chn)
+{
+    uint8_t vneg = p8 < cv;  /* sign of posts - c2v */
+    int8_t bmag = am == t ? l2 : l1;
+    return (chn ^ vneg) ? (int8_t)-bmag : bmag;
+}
+
+/* Pass C, one slab: output blend + wide decision scatter-add.  Scatter
+ * rows are shared across lanes, so the inner loop is still a
+ * contiguous vector add.  Used for slab 0 when the width is odd. */
 static void output_pass_slab(
     const int32_t *restrict vn,
     const int8_t *restrict posts8,
@@ -470,7 +534,7 @@ static void output_pass_slab(
     const int8_t *restrict am,
     const uint8_t *restrict chain,
     int16_t *restrict posts,
-    int64_t n_par, int8_t t)
+    int64_t n_par)
 {
     for (int64_t c = 0; c < n_par; c++) {
         const int8_t *pr8 = posts8 + (int64_t)vn[c] * LANES;
@@ -482,13 +546,62 @@ static void output_pass_slab(
         int16_t *pr = posts + (int64_t)vn[c] * LANES;
 #pragma GCC ivdep
         for (int f = 0; f < LANES; f++) {
-            uint8_t vneg = pr8[f] < cv[f];  /* sign of posts - c2v */
-            int8_t bmag = amc[f] == t ? l2[f] : l1[f];
-            int8_t o = (chn[f] ^ vneg) ? (int8_t)-bmag : bmag;
+            int8_t o = output_lane(pr8[f], cv[f], 0, l1[f], l2[f],
+                                   amc[f], chn[f]);
             cv[f] = o;
             pr[f] = (int16_t)(pr[f] + o);
         }
     }
+}
+
+/* Pass C, slabs t and t+1 in one sweep.  The two posterior rows of a
+ * check are distinct VNs (the caller's plan guarantees it), so the
+ * ivdep lane loop may load both before it stores either. */
+static void output_pass_pair(
+    const int32_t *restrict vn0,
+    const int32_t *restrict vn1,
+    const int8_t *restrict posts8,
+    int8_t *restrict c2v0,
+    int8_t *restrict c2v1,
+    const int8_t *restrict lo1,
+    const int8_t *restrict lo2,
+    const int8_t *restrict am,
+    const uint8_t *restrict chain,
+    int16_t *restrict posts,
+    int64_t n_par, int8_t t)
+{
+    const int8_t t1 = (int8_t)(t + 1);
+    for (int64_t c = 0; c < n_par; c++) {
+        const int8_t *pr80 = posts8 + (int64_t)vn0[c] * LANES;
+        const int8_t *pr81 = posts8 + (int64_t)vn1[c] * LANES;
+        int8_t *cv0 = c2v0 + c * LANES;
+        int8_t *cv1 = c2v1 + c * LANES;
+        const int8_t *l1 = lo1 + c * LANES;
+        const int8_t *l2 = lo2 + c * LANES;
+        const int8_t *amc = am + c * LANES;
+        const uint8_t *chn = chain + c * LANES;
+        int16_t *pr0 = posts + (int64_t)vn0[c] * LANES;
+        int16_t *pr1 = posts + (int64_t)vn1[c] * LANES;
+#pragma GCC ivdep
+        for (int f = 0; f < LANES; f++) {
+            int8_t o0 = output_lane(pr80[f], cv0[f], t, l1[f], l2[f],
+                                    amc[f], chn[f]);
+            int8_t o1 = output_lane(pr81[f], cv1[f], t1, l1[f], l2[f],
+                                    amc[f], chn[f]);
+            cv0[f] = o0;
+            cv1[f] = o1;
+            pr0[f] = (int16_t)(pr0[f] + o0);
+            pr1[f] = (int16_t)(pr1[f] + o1);
+        }
+    }
+}
+
+/* Restart the wide posteriors at the channel info LLRs. */
+static void reset_posts(
+    const int8_t *restrict chi, int16_t *restrict posts, int64_t k)
+{
+    for (int64_t i = 0; i < k * LANES; i++)
+        posts[i] = chi[i];
 }
 
 /* Refresh the int8 posterior mirror: clip(posts, +-2*mi). */
@@ -505,29 +618,23 @@ static void clip_posts(
     }
 }
 
-/* Parity posteriors ch_pn + f + b[1:], decision signs into pb. */
-static void parity_decisions(
-    const int8_t *restrict chp,
-    const int8_t *restrict f_new,
-    const int8_t *restrict b,
-    uint8_t *restrict pb,
-    int64_t n_par)
+/* Lane-minor transpose of one block's (frames, n) channel rows in
+ * tiles of TILE rows; dead lanes duplicate frame f0 (valid data,
+ * never extracted). */
+static void load_block(
+    const int8_t *ch, int64_t frames, int64_t f0, int64_t n,
+    int8_t *restrict dst)
 {
-    for (int64_t c = 0; c + 1 < n_par; c++) {
-        const int8_t *cp = chp + c * LANES;
-        const int8_t *fn = f_new + c * LANES;
-        const int8_t *bn = b + (c + 1) * LANES;
-        uint8_t *pbc = pb + c * LANES;
-        for (int f = 0; f < LANES; f++)
-            pbc[f] = (int8_t)(cp[f] + fn[f] + bn[f]) < 0;
-    }
-    {
-        const int64_t c = n_par - 1;
-        const int8_t *cp = chp + c * LANES;
-        const int8_t *fn = f_new + c * LANES;
-        uint8_t *pbc = pb + c * LANES;
-        for (int f = 0; f < LANES; f++)
-            pbc[f] = (int8_t)(cp[f] + fn[f]) < 0;
+    const int8_t *src[LANES];
+    for (int f = 0; f < LANES; f++)
+        src[f] = ch + (f0 + f < frames ? f0 + f : f0) * n;
+    for (int64_t v0 = 0; v0 < n; v0 += TILE) {
+        const int64_t v1 = v0 + TILE < n ? v0 + TILE : n;
+        for (int f = 0; f < LANES; f++) {
+            const int8_t *s = src[f];
+            for (int64_t v = v0; v < v1; v++)
+                dst[v * LANES + f] = s[v];
+        }
     }
 }
 
@@ -561,11 +668,12 @@ static void extract_lane(
  *
  * Caller contract: 3*mi <= 127 (int8 narrow-VN condition),
  * (mult*m)>>shift == floor(alpha*m) for m in 0..mi, mult*mi <= 32767
- * (int16 normalization product), and every channel LLR in [-mi, mi].
+ * (int16 normalization product), every channel LLR in [-mi, mi], and
+ * no check names one VN in two info slots (paired pass C).
  */
 void zigzag_decode(
-    const int16_t *ch_in,   /* (frames, k) quantized info LLRs */
-    const int8_t *ch_pn,    /* (frames, n_par) quantized parity LLRs */
+    const int8_t *ch,       /* (frames, k + n_par) quantized LLRs:
+                             * info at [0, k), parity at [k, n) */
     const int32_t *in_vn,   /* (e_in,) slot -> info VN */
     int64_t frames, int64_t k, int64_t n_par,
     int64_t width, int64_t seg, int64_t mi,
@@ -582,8 +690,10 @@ void zigzag_decode(
     const int16_t nm = (int16_t)mult;
     const int sh = (int)shift;
     const int8_t imi = (int8_t)mi;
+    /* Slabs of pass A's first sweep and of pass C's lone sweep. */
+    const int lead = (width & 1) ? 1 : 2;
     workspace w;
-    const int have_ws = ws_alloc(&w, k, n_par, e_in);
+    const int have_ws = ws_alloc(&w, k, n_par, e_in, seg);
 
     for (int64_t blk = 0; blk < n_blocks; blk++) {
         /* Tested here, not by an early return before the loop: GCC 12
@@ -592,27 +702,18 @@ void zigzag_decode(
          * every fresh process. */
         if (!have_ws) break;
         const int64_t f0 = blk * LANES;
+        const int8_t *chp = w.ch + k * LANES;
         uint8_t done[LANES];
         int64_t bud[LANES];
         int64_t blockmax = 0;
         int alive = 0;
 
-        /* Lane-minor transposes; dead lanes duplicate frame f0
-         * (valid data, never extracted). */
+        load_block(ch, frames, f0, n, w.ch);
+        reset_posts(w.ch, w.posts, k);
+        clip_posts(w.posts, w.posts8, k, 2 * imi);
+        for (int64_t i = 0; i < n_par * LANES; i++)
+            w.pb[i] = chp[i] < 0;
         for (int f = 0; f < LANES; f++) {
-            int64_t src = f0 + f < frames ? f0 + f : f0;
-            const int16_t *ci = ch_in + src * k;
-            const int8_t *cp = ch_pn + src * n_par;
-            for (int64_t v = 0; v < k; v++) {
-                w.chi[v * LANES + f] = ci[v];
-                w.posts[v * LANES + f] = ci[v];
-                w.posts8[v * LANES + f] =
-                    (int8_t)clip_i(ci[v], 2 * imi);
-            }
-            for (int64_t c = 0; c < n_par; c++) {
-                w.chp[c * LANES + f] = cp[c];
-                w.pb[c * LANES + f] = cp[c] < 0;
-            }
             if (f0 + f < frames) {
                 done[f] = 0;
                 bud[f] = budgets[f0 + f];
@@ -625,22 +726,31 @@ void zigzag_decode(
                 bud[f] = 0;
             }
         }
+        memset(w.pb - LANES, 0, LANES);
         memset(w.c2v, 0, (size_t)(e_in * LANES));
-        memset(w.f_a, 0, (size_t)(n_par * LANES));
-        memset(w.b_old, 0, (size_t)((n_par + 1) * LANES));
-        int8_t *f_old = w.f_a, *f_new = w.f_b;
+        memset(w.fend_a, 0, (size_t)(seg * LANES));
+        memset(w.b, 0, (size_t)((n_par + 1) * LANES));
+        int8_t *fend_old = w.fend_a, *fend_new = w.fend_b;
 
         for (int64_t it = 1; alive && it <= blockmax + 1; it++) {
             /* Pass A: VN phase fused with the check min scan and
              * the IRA syndrome of the *previous* decision. */
-            vn_pass_first(in_vn, w.posts8, w.c2v, w.min1,
-                          w.min2, w.am, w.par, w.synd, w.pb,
-                          n_par, imi);
-            for (int t = 1; t < (int)width; t++)
-                vn_pass_slab(in_vn + (int64_t)t * n_par, w.posts8,
-                             w.c2v + (int64_t)t * n_par * LANES,
-                             w.min1, w.min2, w.am, w.par, w.synd,
-                             n_par, imi, (int8_t)t);
+            if (lead == 1)
+                vn_pass_first(in_vn, w.posts8, w.c2v, w.min1, w.min2,
+                              w.am, w.par, w.synd, w.pb, n_par, imi);
+            else
+                vn_pass_first_pair(
+                    in_vn, in_vn + n_par, w.posts8, w.c2v,
+                    w.c2v + n_par * LANES, w.min1, w.min2, w.am,
+                    w.par, w.synd, w.pb, n_par, imi);
+            for (int t = lead; t < (int)width; t += 2)
+                vn_pass_pair(
+                    in_vn + (int64_t)t * n_par,
+                    in_vn + (int64_t)(t + 1) * n_par, w.posts8,
+                    w.c2v + (int64_t)t * n_par * LANES,
+                    w.c2v + (int64_t)(t + 1) * n_par * LANES,
+                    w.min1, w.min2, w.am, w.par, w.synd,
+                    n_par, imi, (int8_t)t);
 
             /* Lane bookkeeping: converged lanes first (the golden
              * model's in-loop check), then exhausted budgets. */
@@ -669,31 +779,25 @@ void zigzag_decode(
             }
             if (!alive) break;
 
-            chain_inputs(w.chp, w.b_old, w.min1, w.cneg, w.cl,
-                         w.n1, n_par, imi, nm, sh);
-            forward_scan_blk(w.n1, w.par, w.chp, f_old, f_new,
-                             w.anorm, w.aneg, n_par, seg, imi,
-                             nm, sh);
-            backward_outputs(w.n1, w.cl, w.min2, w.anorm, w.par,
-                             w.cneg, w.aneg, w.b, w.lo1, w.lo2,
-                             w.chain, n_par, nm, sh);
+            check_pass(chp, w.min1, w.min2, w.par, fend_old, fend_new,
+                       w.b, w.lo1, w.lo2, w.chain, w.pb,
+                       n_par, seg, imi, nm, sh);
 
-            memcpy(w.posts, w.chi,
-                   (size_t)(k * LANES) * sizeof(int16_t));
-            for (int t = 0; t < (int)width; t++)
-                output_pass_slab(
-                    in_vn + (int64_t)t * n_par, w.posts8,
+            reset_posts(w.ch, w.posts, k);
+            if (lead == 1)
+                output_pass_slab(in_vn, w.posts8, w.c2v, w.lo1, w.lo2,
+                                 w.am, w.chain, w.posts, n_par);
+            for (int t = 2 - lead; t < (int)width; t += 2)
+                output_pass_pair(
+                    in_vn + (int64_t)t * n_par,
+                    in_vn + (int64_t)(t + 1) * n_par, w.posts8,
                     w.c2v + (int64_t)t * n_par * LANES,
+                    w.c2v + (int64_t)(t + 1) * n_par * LANES,
                     w.lo1, w.lo2, w.am, w.chain, w.posts,
                     n_par, (int8_t)t);
             clip_posts(w.posts, w.posts8, k, 2 * imi);
 
-            parity_decisions(w.chp, f_new, w.b, w.pb, n_par);
-            memcpy(w.b_old + LANES, w.b + LANES,
-                   (size_t)((n_par - 1) * LANES));
-            memset(w.b_old, 0, LANES);
-            memset(w.b_old + n_par * LANES, 0, LANES);
-            { int8_t *tmp = f_old; f_old = f_new; f_new = tmp; }
+            { int8_t *tmp = fend_old; fend_old = fend_new; fend_new = tmp; }
             for (int f = 0; f < LANES; f++)
                 if (!done[f]) iterations[f0 + f] = it;
         }

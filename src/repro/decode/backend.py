@@ -167,12 +167,12 @@ class ArrayBackend:
         """
         return None
 
-    def fused_zigzag_decode(
-        self, decoder, plan, ch_in, ch_pn, budgets, early_stop
-    ):
+    def fused_zigzag_decode(self, decoder, plan, ch, budgets, early_stop):
         """Decode a whole quantized batch under a plan from
         :meth:`fused_zigzag_plan`; returns ``(bits, converged,
-        iterations)`` exactly as the numpy loop would produce them."""
+        iterations)`` exactly as the numpy loop would produce them.
+        ``ch`` is the ``(frames, n)`` C-contiguous int8 matrix of
+        quantized channel LLRs."""
         raise NotImplementedError(
             f"backend {self.name!r} published no fused decode plan"
         )
@@ -242,19 +242,25 @@ class CNativeBackend(ArrayBackend):
         # The kernel forms the normalization product mult*m in int16.
         if ms is None or ms[0] * mi > np.iinfo(np.int16).max:
             return None
+        # Pass C adds two slots of a check into their posterior rows in
+        # one vector step, so a check naming one VN twice would lose an
+        # add.  No DVB-S2 code does; anything else takes the numpy path.
+        slots = np.sort(
+            decoder._in_vn_i32.reshape(decoder._width, -1), axis=0
+        )
+        if (slots[1:] == slots[:-1]).any():
+            return None
         return {
             "in_vn": decoder._in_vn_i32,
             "mult": int(ms[0]),
             "shift": int(ms[1]),
         }
 
-    def fused_zigzag_decode(
-        self, decoder, plan, ch_in, ch_pn, budgets, early_stop
-    ):
+    def fused_zigzag_decode(self, decoder, plan, ch, budgets, early_stop):
         return _cnative.zigzag_decode(
-            ch_in,
-            ch_pn,
+            ch,
             plan["in_vn"],
+            decoder._k,
             decoder._width,
             decoder.segments,
             int(decoder.fmt.max_int),
@@ -316,12 +322,10 @@ class InstrumentedBackend(ArrayBackend):
     def fused_zigzag_plan(self, decoder):
         return self.inner.fused_zigzag_plan(decoder)
 
-    def fused_zigzag_decode(
-        self, decoder, plan, ch_in, ch_pn, budgets, early_stop
-    ):
+    def fused_zigzag_decode(self, decoder, plan, ch, budgets, early_stop):
         with self._timer("fused_zigzag_decode"):
             return self.inner.fused_zigzag_decode(
-                decoder, plan, ch_in, ch_pn, budgets, early_stop
+                decoder, plan, ch, budgets, early_stop
             )
 
 

@@ -89,9 +89,10 @@ class QuantizedMinSumDecoder:
         ``(frames, n)`` batches quantize elementwise identically.
         Non-finite LLRs raise (see :meth:`FixedPointFormat.quantize`).
         """
-        return self.fmt.quantize(
-            np.asarray(channel_llrs, dtype=np.float64) * self.channel_scale
-        )
+        llrs = np.asarray(channel_llrs, dtype=np.float64)
+        if self.channel_scale != 1.0:  # x * 1.0 is x: skip the copy
+            llrs = llrs * self.channel_scale
+        return self.fmt.quantize(llrs)
 
     def decode(
         self,
@@ -234,9 +235,10 @@ class QuantizedZigzagDecoder:
         ``(frames, n)`` batches quantize elementwise identically.
         Non-finite LLRs raise (see :meth:`FixedPointFormat.quantize`).
         """
-        return self.fmt.quantize(
-            np.asarray(channel_llrs, dtype=np.float64) * self.channel_scale
-        )
+        llrs = np.asarray(channel_llrs, dtype=np.float64)
+        if self.channel_scale != 1.0:  # x * 1.0 is x: skip the copy
+            llrs = llrs * self.channel_scale
+        return self.fmt.quantize(llrs)
 
     def decode(
         self,

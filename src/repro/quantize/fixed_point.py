@@ -73,13 +73,21 @@ class FixedPointFormat:
         integer in the ``astype``, silently corrupting the decode.
         """
         values = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(values).all():
+        # NaN propagates through min and max, and an infinity shows up
+        # as one of them: no boolean temporary.
+        if values.size and not (
+            np.isfinite(values.min()) and np.isfinite(values.max())
+        ):
             raise ValueError(
                 "channel LLRs must be finite; got NaN or infinity "
                 "(int conversion would silently wrap)"
             )
-        scaled = np.round(values / self.scale)
-        return np.clip(scaled, self.min_int, self.max_int).astype(np.int32)
+        # One float64 buffer, rounded and clipped in place; the caller's
+        # array is never written.
+        scaled = values / self.scale
+        np.round(scaled, out=scaled)
+        np.clip(scaled, self.min_int, self.max_int, out=scaled)
+        return scaled.astype(np.int32)
 
     def dequantize(self, ints: np.ndarray) -> np.ndarray:
         """Integer representation → real values."""

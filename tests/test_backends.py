@@ -6,9 +6,10 @@ available backends); this module covers the seam itself — backend
 resolution and error reporting, the shared table cache, the individual
 cnative kernels against the decoders' numpy reference paths, the
 portable (no ``-march=native``) build, that the fused fast path is
-actually taken, the fused kernel's int8 arithmetic at the format
-bounds, and that forked pools still decode after an inline cnative
-decode.
+actually taken (and declined for a check naming one VN twice), the
+fused kernel's int8 arithmetic at the format bounds and across
+segment counts, GCC's vectorizer report on its lane loops, and that
+forked pools still decode after an inline cnative decode.
 """
 
 from __future__ import annotations
@@ -358,6 +359,32 @@ def test_fused_plan_declines_wide_normalization_product(
     assert dec.backend.fused_zigzag_plan(dec) is None
 
 
+@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
+def test_fused_plan_declines_vn_twice_in_one_check(code_half, monkeypatch):
+    """Pass C adds slots t and t+1 of a check into their posterior rows
+    in one vector step, so a check naming one VN in two slots would
+    lose an add: such a code takes the numpy path."""
+    dec = BatchQuantizedZigzagDecoder(code_half, backend="cnative")
+    assert dec._fused_plan is not None
+    n_par, cn, t = dec._n_parity, 17, 2
+    in_vn = dec._in_vn_i32.copy()
+    in_vn[(t + 1) * n_par + cn] = in_vn[t * n_par + cn]
+    monkeypatch.setattr(dec, "_in_vn_i32", in_vn)
+    assert dec.backend.fused_zigzag_plan(dec) is None
+
+
+@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
+def test_fused_plan_engages_on_every_rate():
+    """No shipped rate names a VN twice in one check, so the duplicate
+    guard never sends a P=36 code to the numpy path."""
+    from repro.codes import RATE_NAMES
+
+    for rate in RATE_NAMES:
+        code = build_small_code(rate, parallelism=36)
+        dec = BatchQuantizedZigzagDecoder(code, backend="cnative")
+        assert dec._fused_plan is not None, rate
+
+
 # ---------------------------------------------------------------------------
 # Range limits: the fused kernel's int8 arithmetic at the format bounds
 
@@ -440,6 +467,105 @@ def test_fused_kernel_parity_at_range_limits(range_codes, rate, bits, alpha):
             ref.decode_quantized_batch(ch, budgets, early_stop),
             dec.decode_quantized_batch(ch, budgets, early_stop),
         )
+
+
+@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
+@pytest.mark.parametrize(
+    "segments",
+    [
+        pytest.param(
+            segments, marks=() if segments == 3240 else pytest.mark.slow
+        )
+        for segments in (1, 36, 3240)
+    ],
+)
+def test_fused_kernel_parity_across_segment_counts(code_half, segments):
+    """The check pass keeps only each segment's last forward message
+    (double-buffered) and updates b in place.  On the P=36 rate-1/2
+    code (3240 checks): 1 segment is one serial chain, 36 the default,
+    and 3240 makes every check its own segment, so every forward seed
+    comes from the previous iteration.  33 frames, random budgets,
+    early stop on and off: cnative matches numpy bit for bit."""
+    assert code_half.n_parity == 3240
+    llrs = _frame_batch(code_half, 2.0, 33, seed=segments, hopeless=2)
+    budgets = np.random.default_rng(segments).integers(1, 40, 33)
+    ref = BatchQuantizedZigzagDecoder(
+        code_half, normalization=0.75, segments=segments
+    )
+    dec = BatchQuantizedZigzagDecoder(
+        code_half, normalization=0.75, segments=segments,
+        backend="cnative",
+    )
+    assert dec._fused_plan is not None
+    for early_stop in (True, False):
+        _assert_results_equal(
+            ref.decode_batch(llrs, budgets, early_stop=early_stop),
+            dec.decode_batch(llrs, budgets, early_stop=early_stop),
+        )
+
+
+def _is_gcc(cc) -> bool:
+    try:
+        out = subprocess.run(
+            [cc, "--version"], capture_output=True, text=True, timeout=30
+        ).stdout
+    except OSError:
+        return False
+    return "Free Software Foundation" in out
+
+
+#: Kernel passes whose per-check lane loop must vectorize: pass A, the
+#: check pass and pass C.
+_VECTOR_PASSES = (
+    "vn_pass_first", "vn_pass_first_pair", "vn_pass_pair",
+    "check_pass", "output_pass_slab", "output_pass_pair",
+)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not (_cnative._compiler() and _is_gcc(_cnative._compiler())),
+    reason="the vectorizer report format is GCC's",
+)
+def test_kernel_lane_loops_vectorize(tmp_path):
+    """Build the kernel as the loader does, plus GCC's vectorizer
+    report: the lane loop inside each pass's per-check loop is
+    vectorized, and none is versioned for possible aliasing (which
+    would put overlap checks and a scalar fallback on the hot path)."""
+    cmd = _cnative.build_command(
+        _cnative._compiler(),
+        _cnative.NATIVE_FLAGS + ("-fopt-info-vec-optimized",),
+        str(tmp_path / "kernels.so"),
+    )
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    vectorized, versioned = set(), set()
+    for line in proc.stderr.splitlines():
+        parts = line.split(":")
+        if len(parts) < 3 or not parts[1].isdigit():
+            continue
+        if "loop vectorized" in line:
+            vectorized.add(int(parts[1]))
+        elif "versioned for vectorization" in line:
+            versioned.add(int(parts[1]))
+    with open(_cnative._SOURCE) as fh:
+        source = fh.read().splitlines()
+    for name in _VECTOR_PASSES:
+        start = next(
+            i for i, text in enumerate(source)
+            if text.startswith(f"static void {name}(")
+        )
+        end = next(i for i in range(start, len(source)) if source[i] == "}")
+        check_loop = next(
+            i for i in range(start, end)
+            if source[i].lstrip().startswith("for (int64_t c = ")
+        )
+        lane_loop = 1 + next(
+            i for i in range(check_loop, end)
+            if source[i].lstrip().startswith("for (int f = 0; f < LANES;")
+        )
+        assert lane_loop in vectorized, (name, lane_loop, proc.stderr)
+        assert lane_loop not in versioned, (name, lane_loop, proc.stderr)
 
 
 @pytest.mark.parametrize(

@@ -305,6 +305,28 @@ def test_parallel_ber_quantized_matches_serial_decode(code_half_tiny):
     assert run.result.total_iterations == int(direct.iterations.sum())
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("channel_scale", [1.0, 0.5])
+@pytest.mark.parametrize(
+    "cls", [BatchQuantizedZigzagDecoder, BatchQuantizedMinSumDecoder]
+)
+def test_decode_leaves_caller_llrs_unwritten(
+    code_half_tiny, cls, channel_scale, backend
+):
+    """Serve queues and benchmark pools decode the same LLR arrays
+    again: neither quantize_channel nor decode_batch may write into
+    them, at unit channel scale included."""
+    _, llrs = _frame_batch(code_half_tiny, 2.0, 3, seed=8)
+    before = llrs.tobytes()
+    dec = _build(
+        cls, code_half_tiny, normalization=0.75,
+        channel_scale=channel_scale, backend=backend,
+    )
+    dec.quantize_channel(llrs)
+    dec.decode_batch(llrs, max_iterations=5)
+    assert llrs.tobytes() == before
+
+
 def test_quantize_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         MESSAGE_6BIT.quantize(np.array([1.0, np.nan]))

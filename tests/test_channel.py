@@ -98,6 +98,21 @@ def test_reseed_restarts_stream():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("ebn0_db", [1.0, 3.0])
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_all_zero_llrs_bits_match_textbook_form(ebn0_db, seed):
+    """The in-place noise scaling returns the very float64 bits of
+    ``llr_scale * (1.0 + normal(0.0, sigma))``, single frame and batch."""
+    n = 2000
+    for size, shape in ((None, (n,)), (5, (5, n))):
+        ch = AwgnChannel(ebn0_db=ebn0_db, rate=0.5, seed=seed)
+        got = ch.llrs_all_zero(n, size=size)
+        noise = np.random.default_rng(seed).normal(0.0, ch.sigma, shape)
+        want = ch.llr_scale * (1.0 + noise)
+        assert got.shape == shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_all_zero_llrs_are_mostly_positive():
     """At high SNR the all-zero shortcut must produce positive LLRs."""
     ch = AwgnChannel(ebn0_db=10.0, rate=0.5, seed=1)

@@ -38,6 +38,41 @@ def test_quantize_saturates():
     assert fmt.quantize(np.array([-100.0]))[0] == -31
 
 
+@pytest.mark.parametrize("fmt", [MESSAGE_5BIT, MESSAGE_6BIT])
+def test_quantize_matches_reference_form(fmt):
+    """The in-place quantizer equals clip(round(x / scale)) exactly:
+    ties at +-0.5, 1.5 and 2.5 LSB round half to even, +-0.0 give 0,
+    and +-1e300 saturate."""
+    lsb = fmt.scale
+    ties = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5]) * lsb
+    extremes = np.array([0.0, -0.0, 1e300, -1e300])
+    noise = np.random.default_rng(4).normal(0.0, 4.0, 200)
+    values = np.concatenate([ties, extremes, noise]).reshape(2, -1)
+    got = fmt.quantize(values)
+    want = np.clip(np.round(values / lsb), fmt.min_int, fmt.max_int)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got[0, :6], [0, 2, 2, 0, -2, -2])
+    np.testing.assert_array_equal(
+        got[0, 6:10], [0, 0, fmt.max_int, fmt.min_int]
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite_anywhere(bad):
+    values = np.random.default_rng(5).normal(0.0, 4.0, (3, 400))
+    values[2, 399] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MESSAGE_6BIT.quantize(values)
+
+
+def test_quantize_leaves_its_input_unwritten():
+    values = np.random.default_rng(6).normal(0.0, 4.0, (4, 300))
+    before = values.tobytes()
+    MESSAGE_6BIT.quantize(values)
+    assert values.tobytes() == before
+
+
 def test_dequantize_inverts_on_representable():
     fmt = FixedPointFormat(total_bits=6, frac_bits=2)
     values = fmt.representable_values()
