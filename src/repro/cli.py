@@ -335,7 +335,6 @@ def _serve_config(args: argparse.Namespace):
         backend=args.backend,
         workers=args.workers,
         pipeline_depth=getattr(args, "pipeline_depth", None),
-        instrument_kernels=getattr(args, "profile_kernels", False),
     )
 
 
@@ -1166,11 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write serve_batch/serve_drop JSONL events")
         p.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write the serving metrics snapshot as JSON")
-        p.add_argument("--profile-kernels", action="store_true",
-                       help="time backend kernel primitives into "
-                            "decode.kernel.* (quantized-* schedules, "
-                            "in-process decode only; see "
-                            "'repro obs profile')")
 
     p = sub.add_parser(
         "serve",
@@ -1397,12 +1391,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = obs_sub.add_parser(
         "profile",
-        help="serve-pipeline stage/kernel breakdown from a metrics "
-             "snapshot",
+        help="serve-pipeline stage breakdown from a metrics snapshot",
         description=(
-            "Render the serve.stage.* spans (and decode.kernel.* "
-            "timers when --profile-kernels was on) from a metrics "
-            "snapshot JSON written by --metrics-out."
+            "Render the serve.stage.* spans from a metrics snapshot "
+            "JSON written by --metrics-out."
         ),
     )
     q.add_argument("file", help="metrics snapshot JSON")

@@ -1,12 +1,7 @@
 """LDPC decoders: two-phase BP, min-sum variants, zigzag schedule,
 fixed-point implementations."""
 
-from .backend import (
-    ArrayBackend,
-    available_backends,
-    backend_status,
-    resolve_backend,
-)
+from .backend import available_backends, backend_status, resolve_backend
 from .batch import BatchDecodeResult, BatchMinSumDecoder, BatchZigzagDecoder
 from .batch_quantized import (
     BatchQuantizedMinSumDecoder,
@@ -25,7 +20,6 @@ from .result import DecodeResult
 from .zigzag import ZigzagDecoder
 
 __all__ = [
-    "ArrayBackend",
     "BatchDecodeResult",
     "BatchMinSumDecoder",
     "BatchQuantizedMinSumDecoder",

@@ -1,12 +1,16 @@
-"""Lazy build + ctypes bindings for the compiled decoder kernels.
+"""Lazy build + ctypes binding for the compiled whole-batch decode.
 
-The ``cnative`` array backend (see :mod:`repro.decode.backend`) calls
-the C routines in ``_zigzag_kernels.c``.  The shared library is built
-on first use with the system C compiler into a per-process temporary
-directory — no build step, no packaging hook, and no hard dependency:
-when no working compiler is present the backend simply reports itself
-unavailable (with the captured reason) and everything else falls back
-to the numpy backend.
+A :class:`~repro.decode.batch_quantized.BatchQuantizedZigzagDecoder`
+built with ``backend="cnative"`` asks :func:`fused_plan` once whether
+its format fits the kernel; when it does, every untraced batch goes to
+:func:`zigzag_decode`, one call into ``_zigzag_kernels.c``.  Everything
+else runs the decoder's own numpy loop.
+
+The shared library is built on first use with the system C compiler
+into a per-process temporary directory — no build step, no packaging
+hook, and no hard dependency: when no working compiler is present the
+``cnative`` backend reports itself unavailable (with the captured
+reason) and the numpy loop serves every decode.
 
 The compile is attempted once per process and memoised, including the
 failure reason, so repeated probes are free.
@@ -85,18 +89,7 @@ def _compile() -> tuple:
 
 
 def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare the C signatures on a loaded kernel library."""
-    lib.segment_min_scan.restype = None
-    lib.segment_min_scan.argtypes = [
-        _I8, ctypes.c_int64, ctypes.c_int64,
-        _I64, ctypes.c_int64, _I8, _I8, _I64,
-    ]
-    lib.zigzag_forward_scan.restype = None
-    lib.zigzag_forward_scan.argtypes = [
-        _I8, _U8, _I8, _I8,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, _I8, _I8, _I8, _U8,
-    ]
+    """Declare the C signature on a loaded kernel library."""
     lib.zigzag_decode.restype = None
     lib.zigzag_decode.argtypes = [
         _I8, _I32,
@@ -129,52 +122,6 @@ def _ptr(arr: np.ndarray, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def segment_min_scan(
-    mags: np.ndarray, starts: np.ndarray
-) -> tuple:
-    """Fused per-segment (min1, min2, argmin) in one C sweep."""
-    lib, reason = load()
-    if lib is None:  # pragma: no cover - guarded by the backend
-        raise RuntimeError(reason)
-    m, n_edges = mags.shape
-    n_segs = starts.shape[0]
-    min1 = np.empty((m, n_segs), dtype=np.int8)
-    min2 = np.empty((m, n_segs), dtype=np.int8)
-    argmin = np.empty((m, n_segs), dtype=np.int64)
-    lib.segment_min_scan(
-        _ptr(mags, ctypes.c_int8), m, n_edges,
-        _ptr(starts, ctypes.c_int64), n_segs,
-        _ptr(min1, ctypes.c_int8), _ptr(min2, ctypes.c_int8),
-        _ptr(argmin, ctypes.c_int64),
-    )
-    return min1, min2, argmin
-
-
-def zigzag_forward_scan(
-    n1: np.ndarray,
-    parity_neg: np.ndarray,
-    ch_pn: np.ndarray,
-    f_old: np.ndarray,
-    seg: int,
-    mi: int,
-    lut: np.ndarray,
-    f: np.ndarray,
-    a_norm: np.ndarray,
-    a_neg: np.ndarray,
-) -> None:
-    lib, reason = load()
-    if lib is None:  # pragma: no cover - guarded by the backend
-        raise RuntimeError(reason)
-    m, n_par = n1.shape
-    lib.zigzag_forward_scan(
-        _ptr(n1, ctypes.c_int8), _ptr(parity_neg, ctypes.c_uint8),
-        _ptr(ch_pn, ctypes.c_int8), _ptr(f_old, ctypes.c_int8),
-        m, n_par, seg, mi, _ptr(lut, ctypes.c_int8),
-        _ptr(f, ctypes.c_int8), _ptr(a_norm, ctypes.c_int8),
-        _ptr(a_neg, ctypes.c_uint8),
-    )
-
-
 def find_mulshift(lut: np.ndarray, max_int: int) -> Optional[tuple]:
     """Exact integer multiply-shift reproducing ``lut[m] == floor(alpha*m)``.
 
@@ -182,8 +129,8 @@ def find_mulshift(lut: np.ndarray, max_int: int) -> Optional[tuple]:
     ``(mult * m) >> shift`` so its SIMD lanes never gather from a table.
     This searches for a ``(mult, shift)`` pair that matches the
     decoder's LUT on every representable magnitude ``0..max_int``;
-    returns ``None`` when no pair reproduces it (the backend then falls
-    back to the numpy path for that decoder).
+    returns ``None`` when no pair reproduces it (:func:`fused_plan` then
+    declines and the decoder keeps its numpy loop).
     """
     want = lut[: max_int + 1].astype(np.int64)
     if want[0] != 0:
@@ -201,6 +148,38 @@ def find_mulshift(lut: np.ndarray, max_int: int) -> Optional[tuple]:
             if np.all((mult * mags) >> shift == vals):
                 return mult, shift
     return None
+
+
+def fused_plan(decoder) -> Optional[dict]:
+    """Whole-batch decode plan for a zigzag decoder, or ``None``.
+
+    Asked once at decoder construction (``backend="cnative"`` only).
+    ``None`` means the decoder's format, normalization or code falls
+    outside what :func:`zigzag_decode` computes exactly; the decoder
+    then runs its numpy loop.
+    """
+    mi = int(decoder.fmt.max_int)
+    if decoder._mdt != np.int8 or not decoder._narrow_vn:
+        return None
+    if np.dtype(decoder._adt).itemsize > 2:
+        return None
+    ms = find_mulshift(decoder._norm_lut, mi)
+    # The kernel forms the normalization product mult*m in int16.
+    if ms is None or ms[0] * mi > np.iinfo(np.int16).max:
+        return None
+    # Pass C adds two slots of a check into their posterior rows in
+    # one vector step, so a check naming one VN twice would lose an
+    # add.  No DVB-S2 code does; anything else takes the numpy path.
+    slots = np.sort(
+        decoder._in_vn_i32.reshape(decoder._width, -1), axis=0
+    )
+    if (slots[1:] == slots[:-1]).any():
+        return None
+    return {
+        "in_vn": decoder._in_vn_i32,
+        "mult": int(ms[0]),
+        "shift": int(ms[1]),
+    }
 
 
 def zigzag_decode(
@@ -221,7 +200,7 @@ def zigzag_decode(
     LLRs: the ``k`` info values of each frame, then its parity values.
     """
     lib, reason = load()
-    if lib is None:  # pragma: no cover - guarded by the backend
+    if lib is None:  # pragma: no cover - guarded by resolve_backend
         raise RuntimeError(reason)
     if ch.ndim != 2 or ch.dtype != np.int8 or not ch.flags.c_contiguous:
         raise ValueError("ch must be a C-contiguous int8 (frames, n) matrix")

@@ -1,11 +1,14 @@
-/* Compiled kernels for the batched fixed-point decoders.
+/* Compiled whole-batch zigzag decode for the fixed-point decoder.
  *
  * Built lazily by repro.decode._cnative with the system C compiler and
- * loaded through ctypes; the "cnative" array backend dispatches here.
- * Every routine reproduces the integer arithmetic of the numpy batch
- * decoders exactly (integer ops are exact, so matching the operation
- * definitions gives bit-identical results by construction — asserted by
- * the backend-parity test suite).
+ * loaded through ctypes.  The one entry point, zigzag_decode, runs a
+ * quantized batch to completion in a single call when the decoder's
+ * fused plan engages ("cnative" backend); every other decode takes the
+ * numpy loop in repro.decode.batch_quantized, which is the reference.
+ * The kernel reproduces that loop's integer arithmetic exactly (integer
+ * ops are exact, so matching the operation definitions gives
+ * bit-identical results by construction — asserted by the kernel
+ * parity tests).
  *
  * The decode kernel is *lane-blocked*: frames are processed in groups
  * of LANES with every per-frame array stored lane-minor (shape
@@ -35,7 +38,7 @@
  * workspace is 20.8 MB.  docs/backends.md has the measurements and
  * the exactness argument in full.
  *
- * Every routine runs on the calling thread.  Parallelism comes from the
+ * The kernel runs on the calling thread.  Parallelism comes from the
  * worker processes above it (the Monte-Carlo shards, the serve pool and
  * the fabric all fork), never from threads in here: a threaded runtime
  * started before a fork leaves the child waiting on helper threads it
@@ -83,100 +86,6 @@
 
 /* Frames per SIMD block: 32 int8 lanes = one 256-bit vector. */
 #define LANES 32
-
-static inline int clip_i(int v, int mi)
-{
-    return v > mi ? mi : (v < -mi ? -mi : v);
-}
-
-static inline int abs_i(int v) { return v < 0 ? -v : v; }
-
-/* ------------------------------------------------------------------ */
-/* Fused per-segment min1/min2/argmin for the flooding check phase.
- *
- * One sweep per segment replaces the two np.minimum.reduceat passes:
- * min1 is the segment minimum, argmin the *global sorted position* of
- * its first occurrence, and min2 the minimum of the remaining entries
- * (duplicates of min1 included), seeded at INT8_MAX exactly like the
- * numpy path's in-place mask value.                                   */
-void segment_min_scan(
-    const int8_t *mags,     /* (m, n_edges) CN-sorted magnitudes */
-    int64_t m, int64_t n_edges,
-    const int64_t *starts,  /* (n_segs,) segment start offsets */
-    int64_t n_segs,
-    int8_t *min1,           /* (m, n_segs) out */
-    int8_t *min2,           /* (m, n_segs) out */
-    int64_t *argmin)        /* (m, n_segs) out, global positions */
-{
-    for (int64_t f = 0; f < m; f++) {
-        const int8_t *row = mags + f * n_edges;
-        int8_t *m1 = min1 + f * n_segs;
-        int8_t *m2 = min2 + f * n_segs;
-        int64_t *am = argmin + f * n_segs;
-        for (int64_t s = 0; s < n_segs; s++) {
-            int64_t lo = starts[s];
-            int64_t hi = (s + 1 < n_segs) ? starts[s + 1] : n_edges;
-            int a = row[lo], b = INT8_MAX;
-            int64_t pos = lo;
-            for (int64_t e = lo + 1; e < hi; e++) {
-                int v = row[e];
-                if (v < a) { b = a; a = v; pos = e; }
-                else if (v < b) { b = v; }
-            }
-            m1[s] = (int8_t)a;
-            m2[s] = (int8_t)b;
-            am[s] = pos;
-        }
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* Standalone t-major forward scan (numpy-loop trace path).
- *
- * Matches BatchQuantizedZigzagDecoder._forward_scan: n1 is the already
- * normalized first minimum, outputs are f, lut[|a|] and (a < 0) in
- * linear n_par order.                                                 */
-void zigzag_forward_scan(
-    const int8_t *n1,          /* (m, n_par) lut[min1] */
-    const uint8_t *parity_neg, /* (m, n_par) */
-    const int8_t *ch_pn,       /* (m, n_par) */
-    const int8_t *f_old,       /* (m, n_par) */
-    int64_t m, int64_t n_par, int64_t seg, int64_t mi,
-    const int8_t *lut,         /* (mi+1,) */
-    int8_t *f,                 /* (m, n_par) out */
-    int8_t *a_norm,            /* (m, n_par) out */
-    uint8_t *a_neg)            /* (m, n_par) out */
-{
-    const int64_t q = n_par / seg;
-    for (int64_t fr = 0; fr < m; fr++) {
-        const int8_t *n1r = n1 + fr * n_par;
-        const uint8_t *pr = parity_neg + fr * n_par;
-        const int8_t *chr_ = ch_pn + fr * n_par;
-        const int8_t *for_ = f_old + fr * n_par;
-        int8_t *fo = f + fr * n_par;
-        int8_t *an = a_norm + fr * n_par;
-        uint8_t *ag = a_neg + fr * n_par;
-        for (int64_t s = 0; s < seg; s++) {
-            int64_t base = s * q;
-            int a = (s == 0)
-                ? (int)mi
-                : clip_i((int)chr_[base - 1] + (int)for_[base - 1],
-                         (int)mi);
-            for (int64_t j = 0; j < q; j++) {
-                int64_t i = base + j;
-                int anv = lut[abs_i(a)];
-                int ang = a < 0;
-                an[i] = (int8_t)anv;
-                ag[i] = (uint8_t)ang;
-                int fm = n1r[i] < anv ? n1r[i] : anv;
-                int fv = (ang ^ pr[i]) ? -fm : fm;
-                fo[i] = (int8_t)fv;
-                a = clip_i((int)chr_[i] + fv, (int)mi);
-            }
-        }
-    }
-}
-
 
 /* ------------------------------------------------------------------ */
 /* Lane-blocked zigzag decode.  Every per-frame array is lane-minor:

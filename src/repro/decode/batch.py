@@ -23,6 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..codes.construction import LdpcCode
+from .backend import check_backend_name
 from .messages import phi
 from .zigzag import DEFAULT_MAX_ITERATIONS, _NEUTRAL_MAG
 
@@ -595,6 +596,36 @@ BATCH_SCHEDULES = (
 )
 
 
+def check_decoder_params(
+    schedule: str, normalization: float, fmt, channel_scale: float, backend
+) -> None:
+    """Reject a decoder recipe that no code can make valid.
+
+    The checks :func:`make_batch_decoder` and the quantized decoders
+    make without looking at the code, in one place so a serve config
+    can run them before any worker starts: the schedule name,
+    ``normalization`` in (0, 1] for the quantized schedules, ``fmt`` /
+    ``channel_scale`` / ``backend`` only with those, and the backend
+    name (by name alone: no kernel compile).  ``segments`` depends on
+    the code and stays with the decoder.
+    """
+    if schedule not in BATCH_SCHEDULES:
+        raise ValueError(
+            f"unknown schedule {schedule!r}; expected one of "
+            f"{BATCH_SCHEDULES}"
+        )
+    if not schedule.startswith("quantized"):
+        if fmt is not None or channel_scale != 1.0 or backend is not None:
+            raise ValueError(
+                "fmt/channel_scale/backend apply only to the quantized-* "
+                "schedules"
+            )
+        return
+    if not 0.0 < normalization <= 1.0:
+        raise ValueError("normalization must be in (0, 1]")
+    check_backend_name(backend)
+
+
 def make_batch_decoder(
     code: LdpcCode,
     schedule: str = "flooding",
@@ -614,11 +645,11 @@ def make_batch_decoder(
     All four expose the same ``decode_batch`` interface.
 
     ``fmt`` (a :class:`~repro.quantize.fixed_point.FixedPointFormat`),
-    ``channel_scale`` and ``backend`` (an array-backend name or
-    :class:`~repro.decode.backend.ArrayBackend` instance — see
-    :mod:`repro.decode.backend`) configure the quantized schedules
+    ``channel_scale`` and ``backend`` (``"numpy"`` or ``"cnative"`` —
+    see :mod:`repro.decode.backend`) configure the quantized schedules
     only; passing any of them with a float schedule is an error.
     """
+    check_decoder_params(schedule, normalization, fmt, channel_scale, backend)
     if schedule in ("quantized-zigzag", "quantized-minsum"):
         from .batch_quantized import (
             BatchQuantizedMinSumDecoder,
@@ -643,20 +674,11 @@ def make_batch_decoder(
             channel_scale=channel_scale,
             backend=backend,
         )
-    if fmt is not None or channel_scale != 1.0 or backend is not None:
-        raise ValueError(
-            "fmt/channel_scale/backend apply only to the quantized-* "
-            "schedules"
-        )
     if schedule == "flooding":
         return BatchMinSumDecoder(code, normalization=normalization)
-    if schedule == "zigzag":
-        return BatchZigzagDecoder(
-            code,
-            "minsum",
-            normalization=normalization,
-            segments=segments,
-        )
-    raise ValueError(
-        f"unknown schedule {schedule!r}; expected one of {BATCH_SCHEDULES}"
+    return BatchZigzagDecoder(
+        code,
+        "minsum",
+        normalization=normalization,
+        segments=segments,
     )

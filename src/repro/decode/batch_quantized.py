@@ -41,14 +41,31 @@ import numpy as np
 
 from ..codes.construction import LdpcCode
 from ..quantize.fixed_point import MESSAGE_6BIT, FixedPointFormat
-from .backend import mask_into as _mask_into
+from . import _cnative
 from .backend import resolve_backend
 from .batch import (
     BatchDecodeResult,
     _batch_syndromes_ok,
     _batch_unsatisfied_counts,
     _normalize_iteration_budgets,
+    check_decoder_params,
 )
+
+
+def _mask_into(cond: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with 0 where ``cond`` is False and -1 where True.
+
+    ``np.where`` on byte-sized operands is memory-bound and an order of
+    magnitude slower than the arithmetic it gates at full-frame batch
+    shapes; an all-ones/all-zeros mask turns every select into a couple
+    of in-place bitwise ops (``b ^ ((a ^ b) & mask)``) that stay exact
+    for two's-complement integers.
+    """
+    if out.dtype == np.int8:
+        np.negative(cond.view(np.int8), out=out)
+    else:
+        np.multiply(cond, -1, out=out, casting="unsafe")
+    return out
 
 
 def _min_int_dtype(bound: int) -> np.dtype:
@@ -145,15 +162,19 @@ class _QuantizedBatchBase:
         channel_scale: float,
         backend=None,
     ) -> None:
-        if not 0.0 < normalization <= 1.0:
-            raise ValueError("normalization must be in (0, 1]")
+        check_decoder_params(
+            self.schedule, normalization, fmt, channel_scale, backend
+        )
         self.code = code
         self.fmt = fmt
         self.normalization = normalization
         self.channel_scale = channel_scale
-        #: Array backend supplying the kernel primitives (and the
-        #: scratch arena) — see :mod:`repro.decode.backend`.
+        #: Backend name: ``"cnative"`` lets the zigzag decoder hand
+        #: whole batches to the compiled kernel (see
+        #: :mod:`repro.decode.backend`).
         self.backend = resolve_backend(backend)
+        #: Named reusable scratch arrays (see :meth:`_buf`).
+        self._scratch: dict = {}
         mi = int(fmt.max_int)
         #: Message dtype: must hold 2*max_int so saturating adds can form
         #: the true sum before clipping (int8 for the 6-bit format).
@@ -165,14 +186,23 @@ class _QuantizedBatchBase:
             mi, normalization, self._mdt
         )
 
-    @property
-    def _scratch(self) -> dict:
-        """The backend's named scratch arena (see :meth:`_buf`)."""
-        return self.backend._scratch
-
     def _buf(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """Named scratch array, grown on demand and sliced per batch."""
-        return self.backend.buf(name, shape, dtype)
+        """Named scratch array, grown on demand and sliced per batch.
+
+        At full-frame batch sizes the per-iteration temporaries exceed
+        the allocator's mmap threshold, so fresh allocations pay a page
+        fault per written page every iteration — reuse removes that.
+        """
+        arr = self._scratch.get(name)
+        if (
+            arr is None
+            or arr.dtype != np.dtype(dtype)
+            or arr.shape[1:] != tuple(shape[1:])
+            or arr.shape[0] < shape[0]
+        ):
+            arr = np.empty(shape, dtype)
+            self._scratch[name] = arr
+        return arr if arr.shape[0] == shape[0] else arr[: shape[0]]
 
     # ------------------------------------------------------------------
     def quantize_channel(self, channel_llrs: np.ndarray) -> np.ndarray:
@@ -193,7 +223,11 @@ class BatchQuantizedMinSumDecoder(_QuantizedBatchBase):
     Bit-identical per frame to
     :class:`~repro.decode.quantized.QuantizedMinSumDecoder` with the same
     format, normalization and channel scale (asserted in the tests).
+    It runs its numpy loop on either backend.
     """
+
+    #: Schedule name (see :func:`repro.decode.batch.make_batch_decoder`).
+    schedule = "quantized-minsum"
 
     def __init__(
         self,
@@ -225,15 +259,11 @@ class BatchQuantizedMinSumDecoder(_QuantizedBatchBase):
                 "edge_index": _freeze(
                     np.arange(graph.n_edges, dtype=edt)
                 ),
-                "cn_starts64": _freeze(
-                    np.ascontiguousarray(self._cn_starts, np.int64)
-                ),
             }
             tables["ms"] = ms
         self._seg_of_sorted = ms["seg_of_sorted"]
         self._edge_vn_sorted = ms["edge_vn_sorted"]
         self._edge_index = ms["edge_index"]
-        self._cn_starts64 = ms["cn_starts64"]
         self._n_edges_val = ms["edge_index"].dtype.type(graph.n_edges)
 
     def decode_batch(
@@ -287,9 +317,10 @@ class BatchQuantizedMinSumDecoder(_QuantizedBatchBase):
             sub_c2v = c2v[idx]
             sub_ch = ch[idx]
             # VN phase: wide totals, saturate each outgoing message.
-            totals = self.backend.segment_sum(
+            totals = np.add.reduceat(
                 sub_c2v[:, self._vn_order],
                 self._vn_starts,
+                axis=1,
                 dtype=self._adt,
             )
             wide = sub_ch + totals
@@ -302,9 +333,10 @@ class BatchQuantizedMinSumDecoder(_QuantizedBatchBase):
             sub_c2v = self._check_phase(v2c)
             c2v[idx] = sub_c2v
             iterations[idx] += 1
-            totals = self.backend.segment_sum(
+            totals = np.add.reduceat(
                 sub_c2v[:, self._vn_order],
                 self._vn_starts,
+                axis=1,
                 dtype=self._adt,
             )
             posteriors = sub_ch + totals
@@ -343,27 +375,24 @@ class BatchQuantizedMinSumDecoder(_QuantizedBatchBase):
         frames = v2c.shape[0]
         sorted_vals = v2c[:, self._cn_order]
         mags = np.abs(sorted_vals)
-        # Fused backends return (min1, min2, argmin) in one sweep; the
-        # numpy fallback reproduces the historical two-reduceat dance
-        # bit-identically (mags is scratch — the fallback masks the
-        # first minimum in place for the second pass).
-        min1, min2, argmin = self.backend.segment_min1_min2(
-            mags,
-            self._cn_starts64,
-            self._seg_of_sorted,
-            self._edge_index,
-            self._n_edges_val,
-        )
+        # Per check: min1, the sorted position of its first occurrence
+        # (argmin) and min2 over the remaining entries, found by masking
+        # the first minimum in place (mags is scratch) for a second
+        # reduceat.
+        starts = self._cn_starts
+        min1 = np.minimum.reduceat(mags, starts, axis=1)
+        is_min = mags == min1[:, self._seg_of_sorted]
+        positions = np.where(is_min, self._edge_index, self._n_edges_val)
+        argmin = np.minimum.reduceat(positions, starts, axis=1)
         rows = np.arange(frames)[:, None]
+        mags[rows, argmin] = np.iinfo(mags.dtype).max
+        min2 = np.minimum.reduceat(mags, starts, axis=1)
         out = np.take(min1, self._seg_of_sorted, axis=1)
         out[rows, argmin] = min2
         out = self._norm_lut[out]
         negs = sorted_vals < 0
         parity_neg = (
-            self.backend.segment_sum(
-                negs, self._cn_starts, dtype=np.int8
-            )
-            & 1
+            np.add.reduceat(negs, starts, axis=1, dtype=np.int8) & 1
         ).astype(bool)
         sign_neg = parity_neg[:, self._seg_of_sorted] ^ negs
         result_sorted = np.where(sign_neg, -out, out)
@@ -390,7 +419,15 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
     reductions over a tiny trailing axis (the hot spot at full-frame
     sizes).  The forward chain scan runs sequentially over the ``q``
     checks of a segment while vectorizing across ``frames × segments``.
+
+    With ``backend="cnative"`` an untraced batch whose format fits the
+    compiled kernel (:func:`repro.decode._cnative.fused_plan`) is
+    decoded in one C call instead; every other decode runs the numpy
+    loop, which is the reference.
     """
+
+    #: Schedule name (see :func:`repro.decode.batch.make_batch_decoder`).
+    schedule = "quantized-zigzag"
 
     def __init__(
         self,
@@ -440,16 +477,10 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
             self._norm_lut_signed = _cached_signed_lut(self._norm_lut, mi)
         else:
             self._norm_lut_signed = None
-        #: Per-iteration kernel hook: let the backend run the forward
-        #: chain scan (it may still decline per call on dtype grounds).
-        self._scan_hook = self.backend.kind == "fused"
-        #: Whole-batch fused decode plan, or None.  Only fused-kind
-        #: backends are asked, so constructing a numpy-backend decoder
-        #: never triggers a compile probe.
+        #: Whole-batch compiled decode plan, or None.  Only cnative
+        #: decoders ask, so a numpy decoder never compiles.
         self._fused_plan = (
-            self.backend.fused_zigzag_plan(self)
-            if self.backend.kind == "fused"
-            else None
+            _cnative.fused_plan(self) if self.backend == "cnative" else None
         )
 
     @staticmethod
@@ -754,16 +785,25 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
     def _decode_fused(
         self, ch: np.ndarray, budgets: np.ndarray, early_stop: bool
     ) -> BatchDecodeResult:
-        """Whole-batch decode on the backend's fused kernel.
+        """Whole-batch decode in one call to the compiled kernel.
 
         The plan gates on the message dtype/normalization at
         construction.  The kernel reads ``ch`` itself, the one
         ``(frames, n)`` int8 matrix the numpy loop would see (info, then
-        parity), and its outputs are bit-identical by the backend
-        contract (asserted by the parametrized equivalence sweeps).
+        parity), and its outputs are bit-identical to that loop
+        (asserted by the parametrized equivalence sweeps).
         """
-        bits, converged, iterations = self.backend.fused_zigzag_decode(
-            self, self._fused_plan, np.ascontiguousarray(ch), budgets,
+        plan = self._fused_plan
+        bits, converged, iterations = _cnative.zigzag_decode(
+            np.ascontiguousarray(ch),
+            plan["in_vn"],
+            self._k,
+            self._width,
+            self.segments,
+            int(self.fmt.max_int),
+            plan["mult"],
+            plan["shift"],
+            budgets,
             early_stop,
         )
         return BatchDecodeResult(
@@ -979,33 +1019,6 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
         mi = int(self.fmt.max_int)
         lut = self._norm_lut
         buf = self._buf
-        if self._scan_hook:
-            # Compiled backends run the whole chain scan in one call;
-            # a backend may decline per call (dtype/layout grounds) and
-            # the numpy path below reuses the same named buffers.
-            if reuse:
-                f = buf(f"zz_f{self._flip}", (m, seg, q), mdt)
-            else:
-                f = np.empty((m, seg, q), dtype=mdt)
-            a_norm = buf("fs_anorm", (m, seg, q), mdt)
-            a_neg = buf("fs_aneg", (m, seg, q), bool)
-            if self.backend.zigzag_forward_scan(
-                n1,
-                parity_neg,
-                ch_pn,
-                f_old,
-                seg,
-                mi,
-                lut,
-                f.reshape(m, -1),
-                a_norm.reshape(m, -1),
-                a_neg.reshape(m, -1),
-            ):
-                return (
-                    f.reshape(m, -1),
-                    a_norm.reshape(m, -1),
-                    a_neg.reshape(m, -1),
-                )
         # The scan's parallel dimension is frames x segments, so work
         # t-major: transposed (q, m, seg) copies make every per-step
         # operand a small contiguous slab instead of a stride-q view

@@ -12,8 +12,8 @@ Layers (see ``docs/observability.md``):
 * :mod:`repro.obs.prom` / :mod:`repro.obs.publish` — exporters: the
   Prometheus text renderer, the periodic JSONL snapshot publisher, and
   the stdlib ``/metrics`` HTTP endpoint,
-* :mod:`repro.obs.profile` — serve-pipeline stage and decode-kernel
-  breakdowns from the ``serve.stage.*`` / ``decode.kernel.*`` spans,
+* :mod:`repro.obs.profile` — serve-pipeline stage breakdowns from the
+  ``serve.stage.*`` spans,
 * :mod:`repro.obs.capacity` — the capacity planner fitting measured
   offered-rate sweeps to a queueing model next to Eq. 7/8.
 
@@ -30,7 +30,7 @@ from .capacity import (
     points_from_loadgen,
 )
 from .iteration import IterationTrace, IterationTraceRecorder
-from .profile import kernel_breakdown, format_profile, stage_breakdown
+from .profile import format_profile, stage_breakdown
 from .prom import render_prometheus, sanitize_metric_name
 from .publish import MetricsHttpServer, SnapshotPublisher, snapshot_delta
 from .registry import (
@@ -66,7 +66,6 @@ __all__ = [
     "fit_capacity",
     "format_profile",
     "get_registry",
-    "kernel_breakdown",
     "merge_snapshots",
     "package_versions",
     "points_from_bench",

@@ -3,10 +3,8 @@
 The serve engine times every stage of its hot path under
 ``serve.stage.*`` timers (``enqueue`` → ``batch_form`` → ``llr_prep``
 → ``dispatch`` → ``decode`` → ``collect`` → ``complete``, with ``pump``
-as the enclosing span — see ``docs/observability.md``), and the
-instrumented array backends time their kernel primitives under
-``decode.kernel.*``.  This module turns those timers back into the
-analysis artifacts:
+as the enclosing span — see ``docs/observability.md``).  This module
+turns those timers back into the analysis artifacts:
 
 * :func:`stage_breakdown` — per-stage busy totals plus each stage's
   share of the enclosing pump wall time.  On a sequential pump the
@@ -19,8 +17,6 @@ analysis artifacts:
   overlap factor ``busy / wall`` on the ``pump`` row instead,
 * :func:`overlap_potential` — the pipelining headroom a breakdown
   implies (serial busy sum vs the bottleneck stage),
-* :func:`kernel_breakdown` — per-kernel totals as a share of the
-  decode stage,
 * :func:`format_profile` — the ASCII time/flame rendering behind
   ``repro obs profile``.
 
@@ -34,8 +30,6 @@ from typing import Dict, List, Optional
 
 #: Timer-name prefix of the serve pipeline stage spans.
 STAGE_PREFIX = "serve.stage."
-#: Timer-name prefix of the instrumented backend kernel spans.
-KERNEL_PREFIX = "decode.kernel."
 #: The enclosing pump span every in-pump stage is a fraction of.
 PUMP_STAGE = "pump"
 #: Stages recorded outside the pump (shares are vs pump but unbounded).
@@ -170,37 +164,6 @@ def overlap_potential(stages: Dict[str, dict]) -> Optional[dict]:
     }
 
 
-def kernel_breakdown(snapshot: dict) -> Dict[str, dict]:
-    """Per-kernel ``{total_s, count, mean_us, of_decode}`` totals.
-
-    ``of_decode`` is the kernel's share of the ``serve.stage.decode``
-    span when present (NaN otherwise) — how much of the decode stage
-    the measured backend primitives account for.
-    """
-    timers = _prefixed_timers(snapshot, KERNEL_PREFIX)
-    decode_ns = (
-        snapshot.get("timers", {})
-        .get(STAGE_PREFIX + "decode", {})
-        .get("total_ns", 0)
-    )
-    out: Dict[str, dict] = {}
-    for name in sorted(timers):
-        timer = timers[name]
-        out[name] = {
-            "total_s": timer["total_ns"] / 1e9,
-            "count": timer["count"],
-            "mean_us": (
-                timer["total_ns"] / timer["count"] / 1e3
-                if timer["count"] else float("nan")
-            ),
-            "of_decode": (
-                timer["total_ns"] / decode_ns
-                if decode_ns > 0 else float("nan")
-            ),
-        }
-    return out
-
-
 def _bar(fraction: float, width: int = 28) -> str:
     if not (fraction >= 0):  # NaN-safe
         return ""
@@ -208,7 +171,7 @@ def _bar(fraction: float, width: int = 28) -> str:
 
 
 def format_profile(snapshot: dict) -> str:
-    """ASCII per-stage (and per-kernel) time breakdown of a snapshot."""
+    """ASCII per-stage time breakdown of a snapshot."""
     stages = stage_breakdown(snapshot)
     if not stages:
         return (
@@ -247,24 +210,4 @@ def format_profile(snapshot: dict) -> str:
             f"  {name:<12} {row['total_s']:>9.4f} {row['count']:>8}"
             f" {mean_str} {pct_str} {_bar(row['of_pump'])}"
         )
-    kernels = kernel_breakdown(snapshot)
-    if kernels:
-        lines.append("")
-        lines.append("backend kernel time (share of decode stage):")
-        lines.append(
-            f"  {'kernel':<22} {'total s':>9} {'calls':>8} "
-            f"{'mean us':>10} {'% dec':>7}"
-        )
-        for name, row in kernels.items():
-            pct = row["of_decode"] * 100
-            pct_str = f"{pct:6.1f}%" if pct == pct else "      -"
-            mean_str = (
-                f"{row['mean_us']:10.1f}"
-                if row["mean_us"] == row["mean_us"] else " " * 10
-            )
-            lines.append(
-                f"  {name:<22} {row['total_s']:>9.4f} "
-                f"{row['count']:>8} {mean_str} {pct_str} "
-                f"{_bar(row['of_decode'])}"
-            )
     return "\n".join(lines)

@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..decode.batch import check_decoder_params
+
 # -- request lifecycle states ------------------------------------------
 #: Decoded; ``bits``/``converged``/``iterations`` are populated.
 STATUS_OK = "ok"
@@ -62,11 +64,15 @@ class ServeConfig:
     ``schedule`` / ``normalization`` / ``fmt`` / ``channel_scale`` /
     ``segments`` / ``backend`` are forwarded to
     :func:`repro.decode.batch.make_batch_decoder`; the default is the
-    paper's 6-bit fixed-point zigzag path (``backend`` picks the array
-    backend running its hot loop — see :mod:`repro.decode.backend`;
-    results are bit-identical across backends).  ``workers > 1``
-    decodes batches on a persistent process pool (batch order
-    deterministic).
+    paper's 6-bit fixed-point zigzag path (``backend="cnative"`` decodes
+    each batch in one compiled call — see :mod:`repro.decode.backend`;
+    results are bit-identical across backends).  Construction rejects
+    a recipe no code can make valid
+    (:func:`repro.decode.batch.check_decoder_params`), so a pooled
+    service fails here rather than in its workers; ``segments``, which
+    depends on the code, is checked when decoders are built.
+    ``workers > 1`` decodes batches on a persistent process pool (batch
+    order deterministic).
 
     Pipelining
     ----------
@@ -103,11 +109,6 @@ class ServeConfig:
     #: Max micro-batches in flight on the pooled path (``None`` = auto:
     #: 1 inline, ``2 * workers`` pooled); see *Pipelining* above.
     pipeline_depth: Optional[int] = None
-    #: Wrap the array backend with per-kernel timers
-    #: (``decode.kernel.*`` — see ``repro obs profile``).  In-process
-    #: decode only: pooled workers build their own unwrapped decoder,
-    #: since their kernel time would land in a worker-local registry.
-    instrument_kernels: bool = False
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -128,6 +129,10 @@ class ServeConfig:
             raise ValueError("workers must be positive")
         if self.pipeline_depth is not None and self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be positive when set")
+        check_decoder_params(
+            self.schedule, self.normalization, self.fmt,
+            self.channel_scale, self.backend,
+        )
 
     @property
     def max_linger_s(self) -> float:

@@ -296,17 +296,8 @@ class DecodeService:
         """Register a route and its shared admission queue; on the
         inline path, build its decoder now."""
         if not self._lanes:
-            backend = self._serve.backend
-            if (
-                self._serve.instrument_kernels
-                and self._serve.schedule.startswith("quantized")
-            ):
-                from ..decode.backend import instrument_backend
-
-                backend = instrument_backend(backend, self.registry)
             route.decoder = make_batch_decoder(
-                route.code,
-                **dict(_decoder_params(self._serve), backend=backend),
+                route.code, **_decoder_params(self._serve)
             )
         self._routes[key] = route
         self._queues[key, None] = BoundedRequestQueue(

@@ -528,9 +528,6 @@ def _pool_key(code: LdpcCode, decoder_params: dict):
     Identity of the code object plus the (hashable) decoder knobs; the
     pool keeps ``initargs`` alive, so the ``id`` stays unambiguous.
     """
-    backend = decoder_params.get("backend")
-    if not isinstance(backend, (str, type(None))):
-        backend = id(backend)  # instance backends key by identity
     return (
         "sim.parallel",
         id(code),
@@ -539,7 +536,7 @@ def _pool_key(code: LdpcCode, decoder_params: dict):
         decoder_params["segments"],
         id(decoder_params["fmt"]),
         decoder_params["channel_scale"],
-        backend,
+        decoder_params["backend"],
     )
 
 

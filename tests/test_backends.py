@@ -1,15 +1,14 @@
-"""Array-backend seam: resolution, caching, kernel parity, fast paths.
+"""Backends: resolution, caching, kernel parity, the fused fast path.
 
 The bit-identity sweeps comparing whole decodes against the single-frame
 golden models live in ``test_batch_quantized.py`` (parametrized over all
-available backends); this module covers the seam itself — backend
-resolution and error reporting, the shared table cache, the individual
-cnative kernels against the decoders' numpy reference paths, the
-portable (no ``-march=native``) build, that the fused fast path is
-actually taken (and declined for a check naming one VN twice), the
-fused kernel's int8 arithmetic at the format bounds and across
-segment counts, GCC's vectorizer report on its lane loops, and that
-forked pools still decode after an inline cnative decode.
+available backends); this module covers backend resolution and error
+reporting, the shared table cache, the portable (no ``-march=native``)
+build, that the fused fast path is actually taken (and declined for a
+check naming one VN twice), the fused kernel's int8 arithmetic at the
+format bounds and across segment counts, GCC's vectorizer report on
+its lane loops, and that forked pools still decode after an inline
+cnative decode.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.decode import (
     resolve_backend,
 )
 from repro.decode import _cnative
-from repro.decode.backend import ArrayBackend
 from repro.decode.batch import make_batch_decoder
 from repro.encode import IraEncoder
 from repro.quantize import MESSAGE_5BIT, MESSAGE_6BIT
@@ -75,15 +73,8 @@ def _assert_results_equal(ref, got):
 
 
 def test_resolve_default_is_numpy():
-    be = resolve_backend(None)
-    assert be.name == "numpy"
-    assert be.kind == "numpy"
-    assert resolve_backend("numpy").kind == "numpy"
-
-
-def test_resolve_instance_passes_through():
-    be = ArrayBackend()
-    assert resolve_backend(be) is be
+    assert resolve_backend(None) == "numpy"
+    assert resolve_backend("numpy") == "numpy"
 
 
 def test_unknown_backend_lists_available():
@@ -105,19 +96,24 @@ def test_unknown_backend_through_factory(code_half):
 
 
 def test_non_string_spec_raises_type_error():
-    with pytest.raises(TypeError, match="ArrayBackend"):
+    with pytest.raises(TypeError, match="backend must be a name"):
         resolve_backend(42)
 
 
-def test_unavailable_backend_reports_reason():
-    unavailable = [
-        name
-        for name, (kind, reason) in backend_status().items()
-        if reason is not None
-    ]
-    for name in unavailable:
-        with pytest.raises(ValueError, match="not available"):
-            resolve_backend(name)
+def test_unavailable_backend_reports_reason(code_half, monkeypatch):
+    """Without a compiler cnative reports why, only numpy is listed,
+    asking for cnative fails, and a numpy decoder still decodes."""
+    reason = "no C compiler found (set $CC to override)"
+    monkeypatch.setattr(_cnative, "_STATE", (None, reason))
+    assert backend_status()["cnative"] == ("fused", reason)
+    assert available_backends() == ["numpy"]
+    with pytest.raises(ValueError, match="not available"):
+        resolve_backend("cnative")
+    llrs = _frame_batch(code_half, 2.2, 2, seed=13)
+    result = BatchQuantizedZigzagDecoder(
+        code_half, normalization=0.75, backend="numpy"
+    ).decode_batch(llrs, max_iterations=10)
+    assert result.bits.shape == llrs.shape
 
 
 def test_backend_status_covers_registry():
@@ -154,7 +150,6 @@ def test_minsum_instances_share_cached_tables(code_half):
     d2 = BatchQuantizedMinSumDecoder(code_half, normalization=0.75)
     assert d1._seg_of_sorted is d2._seg_of_sorted
     assert d1._edge_index is d2._edge_index
-    assert d1._cn_starts64 is d2._cn_starts64
     assert not d1._seg_of_sorted.flags.writeable
 
 
@@ -164,100 +159,21 @@ def test_lut_cache_keys_on_normalization(code_half):
     assert d1._norm_lut is not d2._norm_lut
 
 
-def test_scratch_arena_grows_and_slices():
-    be = ArrayBackend()
-    a = be.buf("x", (8, 16), np.int8)
+def test_scratch_arena_grows_and_slices(code_half):
+    dec = BatchQuantizedZigzagDecoder(code_half, normalization=0.75)
+    a = dec._buf("x", (8, 16), np.int8)
     assert a.shape == (8, 16)
-    b = be.buf("x", (4, 16), np.int8)
-    assert b.base is be._scratch["x"]
+    b = dec._buf("x", (4, 16), np.int8)
+    assert b.base is dec._scratch["x"]
     assert b.shape == (4, 16)
-    c = be.buf("x", (12, 16), np.int8)
+    c = dec._buf("x", (12, 16), np.int8)
     assert c.shape == (12, 16)
-    d = be.buf("x", (12, 16), np.int16)  # dtype change reallocates
+    d = dec._buf("x", (12, 16), np.int16)  # dtype change reallocates
     assert d.dtype == np.int16
 
 
 # ---------------------------------------------------------------------------
-# Kernel hook parity against the numpy reference implementations
-
-
-def _random_segments(rng, n_segs, m):
-    """CN-sorted magnitudes with irregular segment lengths, plus the
-    numpy fallback's auxiliary index tables."""
-    lengths = rng.integers(1, 7, n_segs)
-    starts = np.zeros(n_segs, dtype=np.int64)
-    starts[1:] = np.cumsum(lengths)[:-1]
-    n_edges = int(lengths.sum())
-    mags = rng.integers(0, 32, (m, n_edges)).astype(np.int8)
-    seg_of_sorted = np.repeat(np.arange(n_segs), lengths)
-    edge_index = np.arange(n_edges, dtype=np.int32)
-    return mags, starts, seg_of_sorted, edge_index, n_edges
-
-
-def _reference_min_scan(mags, starts, seg_of_sorted, edge_index, n_edges):
-    ref = ArrayBackend()
-    return ref.segment_min1_min2(
-        mags.copy(), starts, seg_of_sorted, edge_index,
-        edge_index.dtype.type(n_edges),
-    )
-
-
-@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
-def test_cnative_segment_min_scan_matches_numpy(rng):
-    mags, starts, seg_of, eidx, n_edges = _random_segments(rng, 53, 4)
-    m1_ref, m2_ref, am_ref = _reference_min_scan(
-        mags, starts, seg_of, eidx, n_edges
-    )
-    m1, m2, am = _cnative.segment_min_scan(
-        np.ascontiguousarray(mags), starts
-    )
-    np.testing.assert_array_equal(m1, m1_ref)
-    np.testing.assert_array_equal(m2, m2_ref)
-    np.testing.assert_array_equal(am, am_ref)
-
-
-def _synthetic_scan_inputs(code, rng, m=3):
-    """Random-but-valid forward scan operands for ``code``."""
-    n_par = code.n_parity
-    mi = 31
-    lut = np.floor(0.75 * np.arange(mi + 1)).astype(np.int8)
-    n1 = lut[rng.integers(0, mi + 1, (m, n_par))]
-    parity_neg = rng.integers(0, 2, (m, n_par)).astype(bool)
-    ch_pn = rng.integers(-mi, mi + 1, (m, n_par)).astype(np.int8)
-    f_old = rng.integers(-mi, mi + 1, (m, n_par)).astype(np.int8)
-    return n1, parity_neg, ch_pn, f_old, mi, lut
-
-
-def _numpy_scan_reference(code, n1, parity_neg, ch_pn, f_old):
-    """The decoder's own vectorized t-major scan (numpy backend)."""
-    dec = BatchQuantizedZigzagDecoder(code, normalization=0.75)
-    return dec._forward_scan(
-        n1.copy(), parity_neg.copy(), ch_pn.copy(), f_old.copy(),
-        reuse=False,
-    )
-
-
-@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
-def test_cnative_forward_scan_matches_decoder(code_half, rng):
-    n1, parity_neg, ch_pn, f_old, mi, lut = _synthetic_scan_inputs(
-        code_half, rng
-    )
-    f_ref, an_ref, ag_ref = _numpy_scan_reference(
-        code_half, n1, parity_neg, ch_pn, f_old
-    )
-    m, n_par = n1.shape
-    seg = code_half.profile.parallelism
-    f = np.empty((m, n_par), dtype=np.int8)
-    a_norm = np.empty((m, n_par), dtype=np.int8)
-    a_neg = np.zeros((m, n_par), dtype=np.uint8)
-    _cnative.zigzag_forward_scan(
-        np.ascontiguousarray(n1),
-        parity_neg.view(np.uint8),
-        ch_pn, f_old, seg, mi, lut, f, a_norm, a_neg,
-    )
-    np.testing.assert_array_equal(f, f_ref)
-    np.testing.assert_array_equal(a_norm, an_ref)
-    np.testing.assert_array_equal(a_neg.astype(bool), ag_ref)
+# The portable kernel build
 
 
 @pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
@@ -303,13 +219,13 @@ def test_cnative_fused_plan_engages(code_half, monkeypatch):
     )
     assert dec._fused_plan is not None
     calls = []
-    orig = type(dec.backend).fused_zigzag_decode
+    orig = _cnative.zigzag_decode
 
-    def spy(self, *args, **kwargs):
+    def spy(*args, **kwargs):
         calls.append(1)
-        return orig(self, *args, **kwargs)
+        return orig(*args, **kwargs)
 
-    monkeypatch.setattr(type(dec.backend), "fused_zigzag_decode", spy)
+    monkeypatch.setattr(_cnative, "zigzag_decode", spy)
     llrs = _frame_batch(code_half, 2.2, 4, seed=3, hopeless=1)
     got = dec.decode_batch(llrs, max_iterations=20)
     assert calls  # the whole-batch C kernel ran
@@ -356,7 +272,7 @@ def test_fused_plan_declines_wide_normalization_product(
         wide[0] * np.arange(mi + 1) >> wide[1], dec._norm_lut
     )
     monkeypatch.setattr(_cnative, "find_mulshift", lambda lut, m: wide)
-    assert dec.backend.fused_zigzag_plan(dec) is None
+    assert _cnative.fused_plan(dec) is None
 
 
 @pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
@@ -370,7 +286,7 @@ def test_fused_plan_declines_vn_twice_in_one_check(code_half, monkeypatch):
     in_vn = dec._in_vn_i32.copy()
     in_vn[(t + 1) * n_par + cn] = in_vn[t * n_par + cn]
     monkeypatch.setattr(dec, "_in_vn_i32", in_vn)
-    assert dec.backend.fused_zigzag_plan(dec) is None
+    assert _cnative.fused_plan(dec) is None
 
 
 @pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
@@ -573,8 +489,8 @@ def test_kernel_lane_loops_vectorize(tmp_path):
     [b for b in BACKENDS if backend_status()[b][0] == "fused"],
 )
 def test_trace_falls_back_bit_identically(code_half, backend):
-    """Tracing forces the stepwise numpy loop (+ per-iteration hooks);
-    events and outputs must match the numpy backend exactly."""
+    """Tracing forces the stepwise numpy loop; events and outputs must
+    match the numpy backend exactly."""
     from repro.obs.iteration import IterationTraceRecorder
 
     llrs = _frame_batch(code_half, 2.2, 4, seed=5, hopeless=1)
@@ -592,35 +508,6 @@ def test_trace_falls_back_bit_identically(code_half, backend):
         events.append(trace.drain())
     _assert_results_equal(results[0], results[1])
     assert events[0] == events[1]
-
-
-def test_duck_typed_backend_instance(code_half):
-    """An ArrayBackend subclass instance plugs straight in."""
-
-    class TracingBackend(ArrayBackend):
-        name = "tracing"
-        kind = "numpy"
-
-        def __init__(self):
-            super().__init__()
-            self.gathers = 0
-
-        def segment_sum(self, values, starts, dtype=None, out=None):
-            self.gathers += 1
-            return np.add.reduceat(
-                values, starts, axis=1, dtype=dtype, out=out
-            )
-
-    be = TracingBackend()
-    llrs = _frame_batch(code_half, 2.2, 3, seed=9)
-    got = BatchQuantizedMinSumDecoder(
-        code_half, normalization=0.75, channel_scale=0.5, backend=be
-    ).decode_batch(llrs, max_iterations=10)
-    assert be.gathers > 0
-    ref = BatchQuantizedMinSumDecoder(
-        code_half, normalization=0.75, channel_scale=0.5
-    ).decode_batch(llrs, max_iterations=10)
-    _assert_results_equal(ref, got)
 
 
 @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "numpy"])

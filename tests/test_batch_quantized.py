@@ -28,7 +28,7 @@ from repro.decode import (
 from repro.decode.batch import make_batch_decoder
 from repro.encode import IraEncoder
 from repro.obs.iteration import IterationTraceRecorder
-from repro.quantize import MESSAGE_5BIT, MESSAGE_6BIT
+from repro.quantize import MESSAGE_5BIT, MESSAGE_6BIT, FixedPointFormat
 from repro.sim import fast_ber, parallel_ber
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -126,21 +126,40 @@ def test_matches_single_frame_across_rates(
     _assert_batch_matches_single(single, batch, llrs, 15)
 
 
+#: Formats beside the shipped 6-bit one.  The 7-bit format takes the
+#: wide VN path (3*63 > 127) and the 8-bit one int16 messages: no
+#: compiled plan covers either, so cnative runs them on the numpy loop.
+_OTHER_FORMATS = {
+    "5bit": MESSAGE_5BIT,
+    "7bit": FixedPointFormat(7, 2),
+    "8bit": FixedPointFormat(8, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt", list(_OTHER_FORMATS.values()), ids=list(_OTHER_FORMATS)
+)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("single_cls,batch_cls", PAIRS)
 def test_five_bit_format_matches_single_frame(
-    code_half, single_cls, batch_cls, backend
+    code_half, single_cls, batch_cls, backend, fmt
 ):
     _, llrs = _frame_batch(code_half, 2.5, 3, seed=23)
     single = _build(
         single_cls, code_half,
-        fmt=MESSAGE_5BIT, normalization=0.75, channel_scale=0.25,
+        fmt=fmt, normalization=0.75, channel_scale=0.25,
     )
     batch = _build(
         batch_cls, code_half,
-        fmt=MESSAGE_5BIT, normalization=0.75, channel_scale=0.25,
+        fmt=fmt, normalization=0.75, channel_scale=0.25,
         backend=backend,
     )
+    if (
+        fmt is not MESSAGE_5BIT
+        and backend == "cnative"
+        and batch_cls is BatchQuantizedZigzagDecoder
+    ):
+        assert batch._fused_plan is None
     _assert_batch_matches_single(single, batch, llrs, 12)
 
 

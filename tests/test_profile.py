@@ -1,19 +1,13 @@
-"""Tests for the serve-pipeline profiling plane: stage spans, kernel
-instrumentation, and the breakdown/report surfaces."""
+"""Tests for the serve-pipeline profiling plane: stage spans and the
+breakdown/report surfaces."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.codes import build_small_code
-from repro.decode.backend import InstrumentedBackend, instrument_backend
-from repro.decode.batch import make_batch_decoder
 from repro.obs.profile import (
     format_profile,
-    kernel_breakdown,
     overlap_potential,
     stage_breakdown,
 )
@@ -168,60 +162,3 @@ class TestOverlapBreakdown:
         assert "overlap" not in stages["pump"]
 
 
-# ----------------------------------------------------------------------
-# instrumented backends
-# ----------------------------------------------------------------------
-class TestInstrumentedBackend:
-    def test_wraps_and_mirrors_identity(self):
-        reg = MetricsRegistry()
-        wrapped = instrument_backend("numpy", reg)
-        assert isinstance(wrapped, InstrumentedBackend)
-        assert wrapped.name == "numpy"
-        assert wrapped.kind == "numpy"
-        # The scratch arena is shared — decoders reach it directly.
-        assert wrapped._scratch is wrapped.inner._scratch
-
-    def test_minsum_kernels_timed_and_bit_identical(self, code):
-        rng = np.random.default_rng(3)
-        llrs = rng.normal(1.5, 1.0, size=(4, code.n))
-        plain = make_batch_decoder(
-            code, schedule="quantized-minsum", backend="numpy"
-        ).decode_batch(llrs, max_iterations=8)
-        reg = MetricsRegistry()
-        timed = make_batch_decoder(
-            code,
-            schedule="quantized-minsum",
-            backend=instrument_backend("numpy", reg),
-        ).decode_batch(llrs, max_iterations=8)
-        np.testing.assert_array_equal(timed.bits, plain.bits)
-        np.testing.assert_array_equal(
-            timed.iterations, plain.iterations
-        )
-        timers = reg.snapshot()["timers"]
-        assert timers["decode.kernel.segment_sum"]["count"] > 0
-        assert timers["decode.kernel.segment_min1_min2"]["count"] > 0
-
-    def test_serve_config_flag_engages_kernel_timers(self, code):
-        result = run_loadgen(
-            code,
-            ServeConfig(
-                max_batch=8,
-                schedule="quantized-minsum",
-                instrument_kernels=True,
-            ),
-            offered_fps=200.0,
-            duration_s=0.2,
-            seed=5,
-        )
-        kernels = kernel_breakdown(result.snapshot)
-        assert "segment_sum" in kernels
-        share = sum(
-            row["of_decode"] for row in kernels.values()
-            if not math.isnan(row["of_decode"])
-        )
-        assert 0.0 < share <= 1.0
-
-    def test_kernel_breakdown_empty_without_instrumentation(
-        self, loadgen_result
-    ):
-        assert kernel_breakdown(loadgen_result.snapshot) == {}

@@ -522,6 +522,23 @@ class TestPooledService:
             np.testing.assert_array_equal(mine.bits, ref.bits)
             assert mine.iterations == ref.iterations
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"backend": "no-such-backend"},
+            {"normalization": 1.5},
+            {"schedule": "flooding", "backend": "numpy"},
+            {"schedule": "nope"},
+        ],
+        ids=["backend", "normalization", "float-backend", "schedule"],
+    )
+    def test_invalid_decoder_setting_fails_at_construction(self, settings):
+        """A pooled service, the MODCOD plane and the fabric build their
+        decoders only in the workers, where a bad setting would fail
+        every frame; the config rejects it before any pool starts."""
+        with pytest.raises(ValueError):
+            ServeConfig(workers=2, **settings)
+
 
 class TestDeadlineBudgets:
     def test_tight_deadline_caps_frame_budget(self, code_half,
