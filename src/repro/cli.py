@@ -57,12 +57,16 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
+    from .decode import _cnative
     from .decode.backend import backend_status
 
     print("array backends for the quantized batch decoders:")
     for name, (kind, reason) in backend_status().items():
         status = "available" if reason is None else f"unavailable ({reason})"
         print(f"  {name:<12} {kind:<7} {status}")
+    origin = _cnative.origin()
+    if origin is not None:
+        print(f"kernel: {origin}")
     return 0
 
 
@@ -1045,7 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "backends",
-        help="list array backends and their availability",
+        help="list array backends, their availability and where the "
+             "compiled kernel came from",
     )
     p.set_defaults(func=_cmd_backends)
 

@@ -1,4 +1,4 @@
-"""Lazy build + ctypes binding for the compiled whole-batch decode.
+"""Cached build + ctypes binding for the compiled whole-batch decode.
 
 A :class:`~repro.decode.batch_quantized.BatchQuantizedZigzagDecoder`
 built with ``backend="cnative"`` asks :func:`fused_plan` once whether
@@ -6,13 +6,27 @@ its format fits the kernel; when it does, every untraced batch goes to
 :func:`zigzag_decode`, one call into ``_zigzag_kernels.c``.  Everything
 else runs the decoder's own numpy loop.
 
-The shared library is built on first use with the system C compiler
-into a per-process temporary directory — no build step, no packaging
-hook, and no hard dependency: when no working compiler is present the
-``cnative`` backend reports itself unavailable (with the captured
-reason) and the numpy loop serves every decode.
+The shared library is built on first use with the system C compiler —
+no build step, no packaging hook, and no hard dependency: when no
+working compiler is present the ``cnative`` backend reports itself
+unavailable (with the captured reason) and the numpy loop serves every
+decode.
 
-The compile is attempted once per process and memoised, including the
+Built libraries are kept in a per-user cache,
+``<tempfile.gettempdir()>/repro-kernel-cache-<uid>/``, one file per
+:func:`cache_key` (kernel source, compiler identity, flags, platform
+and, for the ``-march=native`` build, the CPU's feature list).  Only
+the first process per host and kernel version pays the compile; every
+later one — each CLI run, each pool or fabric worker — loads the file.
+A miss builds into a temporary file in the cache and publishes it with
+one atomic rename; two processes that miss at once both build, and the
+last rename wins with identical content.  Loading a library runs its
+code, so the cache is used only when it is a real directory owned by
+this user with no group or other permission bits.  Otherwise, or
+where ``os.getuid`` does not exist, the library is built into a
+private temporary directory removed at exit.
+
+The load is attempted once per process and memoised, including the
 failure reason, so repeated probes are free.
 """
 
@@ -20,11 +34,15 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import hashlib
 import os
+import platform
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
+import time
 from typing import Optional
 
 import numpy as np
@@ -32,10 +50,14 @@ import numpy as np
 _SOURCE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "_zigzag_kernels.c"
 )
+_SUFFIX = ".dylib" if sys.platform == "darwin" else ".so"
 
 #: Memoised load state: None = not tried, (lib, None) = loaded,
 #: (None, reason) = unavailable.
 _STATE: Optional[tuple] = None
+#: Where the loaded library came from, set with ``_STATE`` (see
+#: :func:`origin`).
+_ORIGIN: Optional[str] = None
 
 _I8 = ctypes.POINTER(ctypes.c_int8)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
@@ -62,30 +84,148 @@ def build_command(cc: str, flags: tuple, lib_path: str) -> list:
     return [cc, *flags, _SOURCE, "-o", lib_path]
 
 
-def _compile() -> tuple:
-    cc = _compiler()
-    if cc is None:
-        return None, "no C compiler found (set $CC to override)"
-    if not os.path.exists(_SOURCE):
-        return None, f"kernel source missing: {_SOURCE}"
-    build_dir = tempfile.mkdtemp(prefix="repro-kernels-")
-    atexit.register(shutil.rmtree, build_dir, ignore_errors=True)
-    suffix = ".dylib" if sys.platform == "darwin" else ".so"
-    lib_path = os.path.join(build_dir, "zigzag_kernels" + suffix)
-    err = ""
-    for flags in (NATIVE_FLAGS, PORTABLE_FLAGS):
+def _cpu_features() -> Optional[str]:
+    """The CPU feature list (``flags`` on x86, ``Features`` on ARM)
+    from ``/proc/cpuinfo``, or ``None`` where none can be read."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                name, sep, value = line.partition(":")
+                if sep and name.strip() in ("flags", "Features"):
+                    return value.strip() or None
+    except OSError:
+        pass
+    return None
+
+
+def cache_key(cc: str, flags: tuple) -> Optional[str]:
+    """Content key of the kernel built by ``cc`` with ``flags``.
+
+    A sha256 over the kernel source, the resolved compiler path with
+    its size and modification time (a stat, no subprocess), the flags,
+    ``sys.platform``, ``platform.machine()`` and, for a
+    ``-march=native`` build, the CPU feature list.  ``None`` — do not
+    cache — for a native build where no feature list can be read: a
+    native build must never be loaded on a CPU it was not built for.
+    A changed input gives a new key; nothing is invalidated in place.
+    """
+    features = _cpu_features() if "-march=native" in flags else ""
+    if features is None:
+        return None
+    path = os.path.realpath(shutil.which(cc))
+    st = os.stat(path)
+    digest = hashlib.sha256()
+    with open(_SOURCE, "rb") as fh:
+        digest.update(fh.read())
+    for part in (path, st.st_size, st.st_mtime_ns, flags, sys.platform,
+                 platform.machine(), features):
+        digest.update(b"\0" + repr(part).encode())
+    return digest.hexdigest()[:32]
+
+
+def _cache_dir() -> tuple:
+    """``(path, None)`` for a kernel cache safe to load from, else
+    ``(None, why)``.
+
+    The directory is created with mode 0700 and used only if ``lstat``
+    shows a real directory (not a symlink) owned by this user with no
+    group or other permission bits, so nobody else can plant a library
+    in it.
+    """
+    getuid = getattr(os, "getuid", None)
+    if getuid is None:
+        return None, "this platform has no os.getuid"
+    uid = getuid()
+    path = os.path.join(tempfile.gettempdir(), f"repro-kernel-cache-{uid}")
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    except OSError as exc:
+        return None, f"cannot create {path}: {exc}"
+    try:
+        st = os.lstat(path)
+    except OSError as exc:
+        return None, f"cannot stat {path}: {exc}"
+    if not stat.S_ISDIR(st.st_mode):
+        return None, f"{path} is a symlink or not a directory"
+    if st.st_uid != uid:
+        return None, f"{path} is owned by uid {st.st_uid}, not {uid}"
+    if st.st_mode & 0o077:
+        return None, (
+            f"{path} has group or other permission bits "
+            f"({stat.filemode(st.st_mode)})"
+        )
+    return path, None
+
+
+def _build(cc: str, flags: tuple, lib_path: str) -> str:
+    """Compile into a temporary file beside ``lib_path`` and rename it
+    into place; returns the compiler's error output ("" on success)."""
+    fd, tmp = tempfile.mkstemp(
+        prefix=".build-", suffix=_SUFFIX, dir=os.path.dirname(lib_path)
+    )
+    os.close(fd)
+    try:
         proc = subprocess.run(
-            build_command(cc, flags, lib_path),
+            build_command(cc, flags, tmp),
             capture_output=True, text=True, timeout=120,
         )
-        if proc.returncode == 0 and os.path.exists(lib_path):
-            try:
-                return bind(ctypes.CDLL(lib_path)), None
-            except OSError as exc:  # built but not loadable
-                err = str(exc)
-                continue
-        err = (proc.stderr or proc.stdout).strip()
-    return None, f"kernel compile failed with {cc}: {err[:500]}"
+        if proc.returncode != 0:
+            return (proc.stderr or proc.stdout).strip() or (
+                f"exit status {proc.returncode}"
+            )
+        os.replace(tmp, lib_path)
+        return ""
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _compile() -> tuple:
+    """``(lib, reason, origin)``: the loaded kernel from the cache or a
+    fresh build (native flags first, then portable), or the reason
+    there is none."""
+    cc = _compiler()
+    if cc is None:
+        return None, "no C compiler found (set $CC to override)", None
+    if not os.path.exists(_SOURCE):
+        return None, f"kernel source missing: {_SOURCE}", None
+    cache, private_why = _cache_dir()
+    private_dir = None
+    err = ""
+    for flags in (NATIVE_FLAGS, PORTABLE_FLAGS):
+        key = cache_key(cc, flags) if cache is not None else None
+        if key is not None:
+            lib_path = os.path.join(cache, f"zigzag_kernels-{key}{_SUFFIX}")
+            if os.path.exists(lib_path):
+                try:
+                    lib = bind(ctypes.CDLL(lib_path))
+                except (OSError, AttributeError):
+                    pass  # not a loadable kernel: rebuilt and replaced
+                else:
+                    how = "loaded from the kernel cache"
+                    return lib, None, f"{lib_path}, {how}"
+        else:
+            if private_dir is None:
+                private_dir = tempfile.mkdtemp(prefix="repro-kernels-")
+                atexit.register(shutil.rmtree, private_dir, ignore_errors=True)
+            lib_path = os.path.join(private_dir, "zigzag_kernels" + _SUFFIX)
+        t0 = time.perf_counter()
+        err = _build(cc, flags, lib_path)
+        if err:
+            continue
+        try:
+            lib = bind(ctypes.CDLL(lib_path))
+        except (OSError, AttributeError) as exc:  # built but not loadable
+            err = str(exc)
+            continue
+        how = f"built in this process in {time.perf_counter() - t0:.2f} s"
+        if key is None:
+            why = private_why or "no CPU feature list to key a native build"
+            how += f" (private build: {why})"
+        return lib, None, f"{lib_path}, {how}"
+    return None, f"kernel compile failed with {cc}: {err[:500]}", None
 
 
 def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -104,10 +244,19 @@ def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 def load() -> tuple:
     """Return ``(lib, reason)``: the loaded CDLL or the failure reason."""
-    global _STATE
+    global _STATE, _ORIGIN
     if _STATE is None:
-        _STATE = _compile()
+        lib, reason, _ORIGIN = _compile()
+        _STATE = lib, reason
     return _STATE
+
+
+def origin() -> Optional[str]:
+    """Where the loaded kernel came from: its path, then "loaded from
+    the kernel cache", "built in this process in N.NN s" or, for a
+    private build, why the cache was not used.  ``None`` when the
+    kernel is unavailable."""
+    return _ORIGIN if load()[0] is not None else None
 
 
 def available() -> bool:

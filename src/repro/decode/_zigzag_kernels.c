@@ -607,8 +607,8 @@ void zigzag_decode(
     for (int64_t blk = 0; blk < n_blocks; blk++) {
         /* Tested here, not by an early return before the loop: GCC 12
          * at -O3 spends ~0.5 s more in induction-variable optimization
-         * on the early-return form, and the lazy build is paid by
-         * every fresh process. */
+         * on the early-return form, and every cold kernel cache pays
+         * the build. */
         if (!have_ws) break;
         const int64_t f0 = blk * LANES;
         const int8_t *chp = w.ch + k * LANES;

@@ -25,7 +25,7 @@ import numpy as np
 from ..codes.construction import LdpcCode
 from .backend import check_backend_name
 from .messages import phi
-from .zigzag import DEFAULT_MAX_ITERATIONS, _NEUTRAL_MAG
+from .zigzag import DEFAULT_MAX_ITERATIONS, _NEUTRAL_MAG, resolve_segments
 
 
 def _batch_syndromes_ok(
@@ -269,13 +269,8 @@ class BatchZigzagDecoder:
     ) -> None:
         if cn_kernel not in ("tanh", "minsum"):
             raise ValueError("cn_kernel must be 'tanh' or 'minsum'")
-        if segments is None:
-            segments = code.profile.parallelism
+        segments = resolve_segments(code, segments)
         n_parity = code.n_parity
-        if segments < 1 or n_parity % segments != 0:
-            raise ValueError(
-                f"segments={segments} must divide n_parity={n_parity}"
-            )
         self.code = code
         self.cn_kernel = cn_kernel
         self.normalization = normalization
@@ -607,7 +602,8 @@ def check_decoder_params(
     ``normalization`` in (0, 1] for the quantized schedules, ``fmt`` /
     ``channel_scale`` / ``backend`` only with those, and the backend
     name (by name alone: no kernel compile).  ``segments`` depends on
-    the code and stays with the decoder.
+    the code: :func:`~repro.decode.zigzag.resolve_segments` checks it
+    per code.
     """
     if schedule not in BATCH_SCHEDULES:
         raise ValueError(

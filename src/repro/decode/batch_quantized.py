@@ -50,6 +50,7 @@ from .batch import (
     _normalize_iteration_budgets,
     check_decoder_params,
 )
+from .zigzag import resolve_segments
 
 
 def _mask_into(cond: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -439,11 +440,7 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
         backend=None,
     ) -> None:
         super().__init__(code, fmt, normalization, channel_scale, backend)
-        if segments is None:
-            segments = code.profile.parallelism
-        if segments < 1 or code.n_parity % segments != 0:
-            raise ValueError("segments must divide n_parity")
-        self.segments = segments
+        self.segments = resolve_segments(code, segments)
         graph = code.graph
         self._e_in = code.e_in
         self._n_parity = code.n_parity
@@ -457,7 +454,7 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
         self._vn_gather_tm = zz["vn_gather_tm"]
         self._edge_vn_sorted = zz["edge_vn_sorted"]
         self._vn_starts = graph.vn_ptr[: self._k]
-        self._seg_len = self._n_parity // segments
+        self._seg_len = self._n_parity // self.segments
         self._cn_starts_all = graph.cn_ptr[:-1]
         # The VN gather may clip posteriors to ±2*max_int first (see the
         # VN phase) — only valid when the subtraction cannot overflow

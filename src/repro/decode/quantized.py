@@ -27,6 +27,7 @@ from ..codes.construction import LdpcCode
 from ..codes.matrix import syndrome
 from ..quantize.fixed_point import MESSAGE_6BIT, FixedPointFormat
 from .result import DecodeResult
+from .zigzag import resolve_segments
 
 _SENTINEL = np.int64(1 << 40)
 
@@ -203,15 +204,11 @@ class QuantizedZigzagDecoder:
         segments: Optional[int] = None,
         iteration_trace=None,
     ) -> None:
-        if segments is None:
-            segments = code.profile.parallelism
-        if segments < 1 or code.n_parity % segments != 0:
-            raise ValueError("segments must divide n_parity")
         self.code = code
         self.fmt = fmt
         self.normalization = normalization
         self.channel_scale = channel_scale
-        self.segments = segments
+        self.segments = resolve_segments(code, segments)
         self.iteration_trace = iteration_trace
         graph = code.graph
         sl = code.information_edge_slice()

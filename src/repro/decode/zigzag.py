@@ -23,7 +23,7 @@ vectorized path).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,23 @@ from .result import DecodeResult
 DEFAULT_MAX_ITERATIONS = 30
 
 _NEUTRAL_MAG = np.inf  # min-sum neutral element (no chain input)
+
+
+def resolve_segments(code: LdpcCode, segments: Optional[int] = None) -> int:
+    """The forward-chain segment count of a zigzag decoder on ``code``.
+
+    ``None`` means ``code.profile.parallelism`` (one segment per
+    functional unit, as in the IP core).  A count that does not divide
+    ``code.n_parity`` raises ``ValueError``.  Builds nothing, so a
+    pooled service checks its routes with it before any worker starts.
+    """
+    if segments is None:
+        segments = code.profile.parallelism
+    if segments < 1 or code.n_parity % segments != 0:
+        raise ValueError(
+            f"segments={segments} must divide n_parity={code.n_parity}"
+        )
+    return segments
 
 
 class ZigzagDecoder:
@@ -72,16 +89,11 @@ class ZigzagDecoder:
     ) -> None:
         if cn_kernel not in ("tanh", "minsum"):
             raise ValueError("cn_kernel must be 'tanh' or 'minsum'")
-        n_parity = code.n_parity
-        if segments < 1 or n_parity % segments != 0:
-            raise ValueError(
-                f"segments={segments} must divide n_parity={n_parity}"
-            )
         self.code = code
         self.cn_kernel = cn_kernel
         self.normalization = normalization
         self.offset = offset
-        self.segments = segments
+        self.segments = resolve_segments(code, segments)
         self.record_trace = record_trace
         self.iteration_trace = iteration_trace
         self._prepare()

@@ -70,7 +70,8 @@ class ServeConfig:
     a recipe no code can make valid
     (:func:`repro.decode.batch.check_decoder_params`), so a pooled
     service fails here rather than in its workers; ``segments``, which
-    depends on the code, is checked when decoders are built.
+    depends on the code, is checked when a route is registered, also
+    before any worker starts.
     ``workers > 1`` decodes batches on a persistent process pool (batch
     order deterministic).
 

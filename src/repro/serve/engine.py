@@ -73,6 +73,7 @@ import numpy as np
 
 from ..codes.construction import LdpcCode
 from ..decode.batch import make_batch_decoder
+from ..decode.zigzag import resolve_segments
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.trace import TraceRecorder
 from ..sim.pool import PersistentPool
@@ -294,7 +295,11 @@ class DecodeService:
 
     def _add_route(self, key: Optional[str], route: Route) -> None:
         """Register a route and its shared admission queue; on the
-        inline path, build its decoder now."""
+        inline path, build its decoder now.  A ``segments`` count the
+        route's code cannot take raises here, before any worker builds
+        a decoder."""
+        if self._serve.schedule in ("zigzag", "quantized-zigzag"):
+            resolve_segments(route.code, self._serve.segments)
         if not self._lanes:
             route.decoder = make_batch_decoder(
                 route.code, **_decoder_params(self._serve)

@@ -1,14 +1,43 @@
 """Tests for repro.cli — the command-line interface."""
 
+import os
+import tempfile
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.decode import _cnative, available_backends
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "getuid") or "cnative" not in available_backends(),
+    reason="needs a C compiler and the per-user kernel cache",
+)
+def test_backends_says_where_the_kernel_came_from(
+    capsys, tmp_path, monkeypatch
+):
+    """Under the table, one line names the kernel library and whether
+    it was built in this process or loaded from the kernel cache."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(_cnative, "_STATE", None)
+    monkeypatch.setattr(_cnative, "_ORIGIN", None)
+    prefix = f"kernel: {tmp_path / f'repro-kernel-cache-{os.getuid()}'}"
+    code, out = run(capsys, "backends")
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert last.startswith(prefix)
+    assert " built in this process in " in last
+    monkeypatch.setattr(_cnative, "_STATE", None)
+    code, out = run(capsys, "backends")
+    assert out.splitlines()[-1] == (
+        last.split(", built")[0] + ", loaded from the kernel cache"
+    )
 
 
 def test_parser_requires_command():

@@ -539,6 +539,33 @@ class TestPooledService:
         with pytest.raises(ValueError):
             ServeConfig(workers=2, **settings)
 
+    def test_segments_not_dividing_the_code_fail_before_any_worker(
+        self, code_half_tiny, monkeypatch
+    ):
+        """``segments`` depends on the code, so the config cannot check
+        it.  Registering a route does: a pooled service, the fabric and
+        the MODCOD plane's ``service_for`` raise before any worker
+        process is forked (they used to fail every frame in the
+        workers), and the rejected MODCOD is not registered."""
+        from repro.acm import ModCod, MultiModcodService
+        from repro.serve import DecodeFabric, FabricConfig
+
+        def no_fork():
+            raise AssertionError("a worker process was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert code_half_tiny.n_parity % 7 != 0
+        serve = ServeConfig(workers=2, segments=7, max_batch=4,
+                            max_linger_ms=0.0)
+        with pytest.raises(ValueError, match="segments=7 must divide"):
+            DecodeService(code_half_tiny, serve)
+        with pytest.raises(ValueError, match="segments=7 must divide"):
+            DecodeFabric(code_half_tiny, FabricConfig(workers=2, serve=serve))
+        with MultiModcodService(serve, parallelism=12) as plane:
+            with pytest.raises(ValueError, match="segments=7 must divide"):
+                plane.service_for(ModCod("1/2"))
+            assert plane.active_modcods == []
+
 
 class TestDeadlineBudgets:
     def test_tight_deadline_caps_frame_budget(self, code_half,
