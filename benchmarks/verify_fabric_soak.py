@@ -4,13 +4,16 @@ The CI ``fabric-smoke`` job runs ``repro fabric --chaos-kill-worker-after``
 under ``repro loadgen --connect`` load, then points this script at the
 gateway's ``--metrics-out`` snapshot::
 
-    python benchmarks/verify_fabric_soak.py metrics.json --workers 2
+    python benchmarks/verify_fabric_soak.py metrics.json --workers 2 --n 2160
 
 Checks: the merged snapshot carries every per-worker sub-view, the
 SIGKILLed worker was respawned at least once, request accounting
 balances (``completed + rejected + expired + failed == submitted``),
-and no frame failed — i.e. the healed kill lost nothing.  Exit 0 on
-success, 1 with a reason on stderr.
+and no frame failed — i.e. the healed kill lost nothing.  With ``--n``
+(the code length: 2160 at ``--parallelism 12``) it also checks that
+frames crossed to the workers as one byte per LLR
+(``serve.dispatch.llr_bytes == serve.dispatch.frames * n``; float64
+frames would read 8n).  Exit 0 on success, 1 with a reason on stderr.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import sys
 from typing import List, Optional
 
 
-def verify(snapshot: dict, *, workers: int,
-           expect_restart: bool = True) -> List[str]:
-    """Return a list of violations (empty when the soak was clean)."""
+def verify(snapshot: dict, *, workers: int, expect_restart: bool = True,
+           n: Optional[int] = None) -> List[str]:
+    """Return a list of violations (empty when the soak was clean);
+    ``n`` (the code length) adds the worker-payload check."""
     problems = []
     expected_views = {"fabric"} | {f"worker{i}" for i in range(workers)}
     views = set(snapshot.get("workers", {}))
@@ -57,6 +61,16 @@ def verify(snapshot: dict, *, workers: int,
         problems.append(
             "chaos kill was not healed (pool.worker_restart == 0)"
         )
+    if n is not None:
+        frames = counters.get("serve.dispatch.frames", 0)
+        llr_bytes = counters.get("serve.dispatch.llr_bytes", 0)
+        if frames <= 0:
+            problems.append("no frames were dispatched to a worker")
+        elif llr_bytes != frames * n:
+            problems.append(
+                f"{llr_bytes} LLR bytes sent for {frames} frames: "
+                f"{llr_bytes / frames:g} per frame, not n = {n}"
+            )
     return problems
 
 
@@ -71,12 +85,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-restart", action="store_true",
                         help="soak ran without a chaos kill; do not "
                              "require a worker restart")
+    parser.add_argument("--n", type=int, default=None,
+                        help="code length of the soak; checks that "
+                             "frames went to the workers as n bytes")
     args = parser.parse_args(argv)
 
     with open(args.snapshot) as handle:
         snapshot = json.load(handle)
     problems = verify(snapshot, workers=args.workers,
-                      expect_restart=not args.no_restart)
+                      expect_restart=not args.no_restart, n=args.n)
     if problems:
         for problem in problems:
             print(f"soak violation: {problem}", file=sys.stderr)

@@ -23,6 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..codes.construction import LdpcCode
+from ..quantize.fixed_point import MESSAGE_6BIT
 from .backend import check_backend_name
 from .messages import phi
 from .zigzag import DEFAULT_MAX_ITERATIONS, _NEUTRAL_MAG, resolve_segments
@@ -622,6 +623,16 @@ def check_decoder_params(
     check_backend_name(backend)
 
 
+def channel_format(schedule: str, fmt=None):
+    """The fixed-point format a schedule's batched decoder reads its
+    channel in: ``fmt``, or the paper's 6-bit default, for the
+    quantized schedules; ``None`` for the float schedules (float64
+    LLRs)."""
+    if not schedule.startswith("quantized"):
+        return None
+    return MESSAGE_6BIT if fmt is None else fmt
+
+
 def make_batch_decoder(
     code: LdpcCode,
     schedule: str = "flooding",
@@ -651,9 +662,8 @@ def make_batch_decoder(
             BatchQuantizedMinSumDecoder,
             BatchQuantizedZigzagDecoder,
         )
-        from ..quantize.fixed_point import MESSAGE_6BIT
 
-        fmt = MESSAGE_6BIT if fmt is None else fmt
+        fmt = channel_format(schedule, fmt)
         if schedule == "quantized-zigzag":
             return BatchQuantizedZigzagDecoder(
                 code,

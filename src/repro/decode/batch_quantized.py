@@ -40,7 +40,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..codes.construction import LdpcCode
-from ..quantize.fixed_point import MESSAGE_6BIT, FixedPointFormat
+from ..quantize.fixed_point import (
+    MESSAGE_6BIT,
+    FixedPointFormat,
+    quantize_llrs,
+)
 from . import _cnative
 from .backend import resolve_backend
 from .batch import (
@@ -207,11 +211,38 @@ class _QuantizedBatchBase:
 
     # ------------------------------------------------------------------
     def quantize_channel(self, channel_llrs: np.ndarray) -> np.ndarray:
-        """Scale and quantize float LLRs (any leading batch shape)."""
+        """Scale and quantize float LLRs (any leading batch shape) into
+        ``fmt.int_dtype`` (see :func:`~repro.quantize.quantize_llrs`)."""
+        return quantize_llrs(channel_llrs, self.fmt, self.channel_scale)
+
+    def _quantize_batch(self, channel_llrs: np.ndarray) -> np.ndarray:
+        """A ``(frames, N)`` float-LLR batch, quantized (saturated into
+        the format, so it needs no range scan)."""
         llrs = np.asarray(channel_llrs, dtype=np.float64)
-        if self.channel_scale != 1.0:  # x * 1.0 is x: skip the copy
-            llrs = llrs * self.channel_scale
-        return self.fmt.quantize(llrs)
+        if llrs.ndim != 2 or llrs.shape[1] != self.code.n:
+            raise ValueError(f"expected shape (frames, {self.code.n})")
+        return self.quantize_channel(llrs)
+
+    def _check_quantized(self, ch: np.ndarray) -> np.ndarray:
+        """A ``(frames, N)`` batch of already-quantized integers, checked.
+
+        Every value must lie in ``[fmt.min_int, fmt.max_int]``; anything
+        else raises.  Both decode loops assume ``|ch| <= max_int``, and
+        the int8 message dtype would wrap larger values (200 becomes
+        -56, a strong 0 read as a strong 1).
+        """
+        ch = np.asarray(ch)
+        if ch.ndim != 2 or ch.shape[1] != self.code.n:
+            raise ValueError(
+                f"expected shape (frames, {self.code.n}) quantized LLRs"
+            )
+        lo, hi = self.fmt.min_int, self.fmt.max_int
+        if ch.size and not (lo <= ch.min() and ch.max() <= hi):
+            raise ValueError(
+                f"quantized LLRs must lie in [{lo}, {hi}] for the "
+                f"{self.fmt.total_bits}-bit format"
+            )
+        return ch
 
     def _normalize(self, mags: np.ndarray) -> np.ndarray:
         """Truncating normalization via the magnitude lookup table."""
@@ -276,23 +307,45 @@ class BatchQuantizedMinSumDecoder(_QuantizedBatchBase):
     ) -> BatchDecodeResult:
         """Decode a ``(frames, N)`` batch of float channel LLRs.
 
-        LLRs are quantized internally exactly as the single-frame
-        decoder does.  ``max_iterations`` may be a scalar or a
-        ``(frames,)`` array of per-frame budgets; a frame is frozen once
-        its own budget is spent.  ``iteration_trace`` is the optional
-        read-only per-iteration hook (see :mod:`repro.obs.iteration`);
-        observables come from the integer posteriors, de-scaled by the
-        format's LSB.
+        LLRs are quantized exactly as the single-frame decoder does,
+        then decoded as :meth:`decode_quantized_batch` decodes them.
         """
+        return self._decode_quantized(
+            self._quantize_batch(channel_llrs), max_iterations, early_stop,
+            iteration_trace,
+        )
+
+    def decode_quantized_batch(
+        self,
+        ch: np.ndarray,
+        max_iterations: int = 40,
+        early_stop: bool = True,
+        iteration_trace=None,
+    ) -> BatchDecodeResult:
+        """Decode a ``(frames, N)`` batch of already-quantized integers
+        (values in ``[fmt.min_int, fmt.max_int]``, else ``ValueError``).
+
+        ``max_iterations`` may be a scalar or a ``(frames,)`` array of
+        per-frame budgets; a frame is frozen once its own budget is
+        spent.  ``iteration_trace`` is the optional read-only
+        per-iteration hook (see :mod:`repro.obs.iteration`); observables
+        come from the integer posteriors, de-scaled by the format's LSB.
+        """
+        return self._decode_quantized(
+            self._check_quantized(ch), max_iterations, early_stop,
+            iteration_trace,
+        )
+
+    def _decode_quantized(
+        self, ch, max_iterations, early_stop, iteration_trace
+    ) -> BatchDecodeResult:
+        """Decode in-range quantized integers (see the public wrappers)."""
         graph = self.code.graph
-        llrs = np.asarray(channel_llrs, dtype=np.float64)
-        if llrs.ndim != 2 or llrs.shape[1] != graph.n_vns:
-            raise ValueError(f"expected shape (frames, {graph.n_vns})")
-        frames = llrs.shape[0]
+        ch = ch.astype(self._mdt)
+        frames = ch.shape[0]
         budgets, limit = _normalize_iteration_budgets(
             max_iterations, frames
         )
-        ch = self.quantize_channel(llrs).astype(self._mdt)
         c2v = np.zeros((frames, graph.n_edges), dtype=self._mdt)
         bits = (ch < 0).astype(np.uint8)
         iterations = np.zeros(frames, dtype=np.int64)
@@ -551,12 +604,8 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
         iteration_trace=None,
     ) -> BatchDecodeResult:
         """Decode a ``(frames, N)`` float-LLR batch (quantized internally)."""
-        llrs = np.asarray(channel_llrs, dtype=np.float64)
-        if llrs.ndim != 2 or llrs.shape[1] != self.code.n:
-            raise ValueError(f"expected shape (frames, {self.code.n})")
-        # quantize_channel saturates into the format: no range scan.
         return self._decode_quantized(
-            self.quantize_channel(llrs), max_iterations, early_stop,
+            self._quantize_batch(channel_llrs), max_iterations, early_stop,
             iteration_trace,
         )
 
@@ -572,23 +621,11 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
         ``max_iterations`` may be a scalar or a ``(frames,)`` array of
         per-frame budgets; a frame freezes once its budget is spent.
         Every value must lie in ``[fmt.min_int, fmt.max_int]``; anything
-        else raises.  Both decode paths assume ``|ch| <= max_int``, and
-        the int8 message dtype would wrap larger values (200 becomes
-        -56, a strong 0 read as a strong 1).
+        else raises.
         """
-        ch = np.asarray(ch)
-        if ch.ndim != 2 or ch.shape[1] != self.code.n:
-            raise ValueError(
-                f"expected shape (frames, {self.code.n}) quantized LLRs"
-            )
-        lo, hi = self.fmt.min_int, self.fmt.max_int
-        if ch.size and not (lo <= ch.min() and ch.max() <= hi):
-            raise ValueError(
-                f"quantized LLRs must lie in [{lo}, {hi}] for the "
-                f"{self.fmt.total_bits}-bit format"
-            )
         return self._decode_quantized(
-            ch, max_iterations, early_stop, iteration_trace
+            self._check_quantized(ch), max_iterations, early_stop,
+            iteration_trace,
         )
 
     def _decode_quantized(

@@ -1,5 +1,15 @@
 """Fixed-point number formats and saturating arithmetic."""
 
-from .fixed_point import MESSAGE_5BIT, MESSAGE_6BIT, FixedPointFormat
+from .fixed_point import (
+    MESSAGE_5BIT,
+    MESSAGE_6BIT,
+    FixedPointFormat,
+    quantize_llrs,
+)
 
-__all__ = ["FixedPointFormat", "MESSAGE_5BIT", "MESSAGE_6BIT"]
+__all__ = [
+    "FixedPointFormat",
+    "MESSAGE_5BIT",
+    "MESSAGE_6BIT",
+    "quantize_llrs",
+]

@@ -63,6 +63,15 @@ class FixedPointFormat:
         """Number of representable levels."""
         return 2 * self.max_int + 1
 
+    @property
+    def int_dtype(self) -> np.dtype:
+        """Narrowest signed integer dtype holding every representable
+        value (``int8`` up to 8 bits)."""
+        for dtype in (np.int8, np.int16, np.int32):
+            if np.iinfo(dtype).bits >= self.total_bits:
+                return np.dtype(dtype)
+        return np.dtype(np.int64)
+
     # ------------------------------------------------------------------
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Real values → saturated integer representation (int32).
@@ -73,15 +82,7 @@ class FixedPointFormat:
         integer in the ``astype``, silently corrupting the decode.
         """
         values = np.asarray(values, dtype=np.float64)
-        # NaN propagates through min and max, and an infinity shows up
-        # as one of them: no boolean temporary.
-        if values.size and not (
-            np.isfinite(values.min()) and np.isfinite(values.max())
-        ):
-            raise ValueError(
-                "channel LLRs must be finite; got NaN or infinity "
-                "(int conversion would silently wrap)"
-            )
+        check_finite(values)
         # One float64 buffer, rounded and clipped in place; the caller's
         # array is never written.
         scaled = values / self.scale
@@ -118,6 +119,50 @@ class FixedPointFormat:
             np.arange(self.min_int, self.max_int + 1, dtype=np.int64)
             * self.scale
         )
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``values`` holds a NaN or an infinity.
+
+    NaN propagates through min and max, and an infinity shows up as
+    one of them: two reductions, no boolean temporary.
+    """
+    if values.size and not (
+        np.isfinite(values.min()) and np.isfinite(values.max())
+    ):
+        raise ValueError(
+            "channel LLRs must be finite; got NaN or infinity "
+            "(int conversion would silently wrap)"
+        )
+
+
+def quantize_llrs(
+    llrs: np.ndarray, fmt: FixedPointFormat, channel_scale: float = 1.0
+) -> np.ndarray:
+    """Channel LLRs → a fixed-point decoder's integer input.
+
+    Exactly ``fmt.quantize(llrs * channel_scale)``, returned in
+    ``fmt.int_dtype`` (``int8`` for the 6-bit format) instead of int32,
+    for any input shape.  The batched decoders' ``quantize_channel``
+    and the serve plane's admission both call it, so a frame is held
+    in the integers the decoder reads from the moment it is admitted.
+
+    Finiteness is tested on the input: a finite LLR too large to scale
+    (1e308) saturates like any strong LLR, only NaN and infinity raise.
+    Multiplying by ``2**frac_bits`` gives the same double as
+    ``fmt.quantize``'s division by ``fmt.scale`` (a power of two),
+    overflow included, and rounding is half to even in both.
+    """
+    values = np.asarray(llrs, dtype=np.float64)
+    check_finite(values)
+    if channel_scale != 1.0:
+        scaled = values * channel_scale
+        scaled *= 2.0 ** fmt.frac_bits
+    else:
+        scaled = values * 2.0 ** fmt.frac_bits
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, fmt.min_int, fmt.max_int, out=scaled)
+    return scaled.astype(fmt.int_dtype)
 
 
 #: The paper's reference formats: 6-bit messages (synthesis results of

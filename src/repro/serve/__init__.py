@@ -12,6 +12,7 @@ rejection) keeps latency bounded under overload.  See
 from .api import (
     REASON_BAD_FRAME,
     REASON_DEADLINE,
+    REASON_DECODE_ERROR,
     REASON_QUEUE_FULL,
     REASON_SHUTDOWN,
     REASON_WORKER_CRASH,
@@ -76,6 +77,7 @@ __all__ = [
     "RoundRobinDispatch",
     "REASON_BAD_FRAME",
     "REASON_DEADLINE",
+    "REASON_DECODE_ERROR",
     "REASON_QUEUE_FULL",
     "REASON_SHUTDOWN",
     "REASON_WORKER_CRASH",

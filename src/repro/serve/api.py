@@ -1,9 +1,10 @@
 """Request/result types and configuration of the decode service.
 
 The service's unit of work is one noisy frame: a caller submits the
-``(n,)`` channel-LLR vector of a received codeword as a
-:class:`DecodeRequest` and gets a :class:`DecodeResult` carrying the
-hard-decision codeword bits (or a typed rejection).  Everything that
+``(n,)`` channel-LLR vector of a received codeword, the service queues
+it as a :class:`DecodeRequest` and the caller gets a
+:class:`DecodeResult` carrying the hard-decision codeword bits (or a
+typed rejection).  Everything that
 shapes batching, deadlines and degradation lives in one
 :class:`ServeConfig` value object so a service instance is fully
 described by ``(code, config)``.
@@ -25,15 +26,20 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 #: Queued but dropped before decode because its deadline passed.
 STATUS_EXPIRED = "expired"
-#: Dispatched, but its batch kept crashing the workers it ran on.
+#: Dispatched, but its batch kept crashing the workers it ran on
+#: (:data:`REASON_WORKER_CRASH`) or its decode raised
+#: (:data:`REASON_DECODE_ERROR`).
 STATUS_FAILED = "failed"
 
 # -- rejection / drop reasons ------------------------------------------
 REASON_QUEUE_FULL = "queue_full"
 REASON_DEADLINE = "deadline_expired"
 REASON_SHUTDOWN = "shutdown"
+#: A frame the service cannot decode (a NaN or infinite LLR, rejected
+#: at admission; a failed frame check on the byte-stream path).
 REASON_BAD_FRAME = "bad_frame"
 REASON_WORKER_CRASH = "worker_crash"
+REASON_DECODE_ERROR = "decode_error"
 
 
 @dataclass
@@ -66,7 +72,9 @@ class ServeConfig:
     :func:`repro.decode.batch.make_batch_decoder`; the default is the
     paper's 6-bit fixed-point zigzag path (``backend="cnative"`` decodes
     each batch in one compiled call — see :mod:`repro.decode.backend`;
-    results are bit-identical across backends).  Construction rejects
+    results are bit-identical across backends).  For the quantized
+    schedules ``fmt`` and ``channel_scale`` also reach admission, which
+    quantizes each frame once with them.  Construction rejects
     a recipe no code can make valid
     (:func:`repro.decode.batch.check_decoder_params`), so a pooled
     service fails here rather than in its workers; ``segments``, which
@@ -146,7 +154,12 @@ class DecodeRequest:
     """One queued frame awaiting decode."""
 
     request_id: int
-    llrs: np.ndarray
+    #: The frame as its decoder reads it, made once at admission: the
+    #: fixed-point integers of a quantized schedule (``(n,)`` ``int8``
+    #: for the 6-bit format, ``channel_scale`` applied), float64 LLRs
+    #: for a float schedule; ``None`` for a frame rejected as
+    #: :data:`REASON_BAD_FRAME`.
+    llrs: Optional[np.ndarray]
     #: Arrival timestamp on the service clock (seconds).
     arrival_s: float
     #: Absolute deadline on the service clock, or ``None``.

@@ -7,8 +7,11 @@ single-threaded event pump over an injected clock:
   *route* — the code that decodes it: one route for a single-code
   service, one per MODCOD label on the mixed plane — or, under the
   hash dispatch policy, into a queue pinned to its client's worker
-  lane.  A full queue rejects the frame with a typed reason
-  (backpressure, never unbounded growth);
+  lane.  Admission turns the frame into what the decoder reads: the
+  fixed-point integers of a quantized schedule (``int8`` for the 6-bit
+  format, quantized once, here), float64 LLRs otherwise.  A frame with
+  a NaN or infinite LLR, or one that finds its queue full, is rejected
+  with a typed reason (backpressure, never unbounded growth);
 * ``pump`` is the event step: fold finished batches in, expire overdue
   frames, form every due micro-batch (fill-or-timeout, see
   :class:`~repro.serve.batcher.MicroBatcher`) and decode it;
@@ -26,11 +29,12 @@ in-flight window, picked per batch by the dispatch policy
 one N-process lane, the distributed fabric
 (:class:`~repro.serve.fabric.DecodeFabric`) is N one-process lanes.
 Workers host decoders, not services: a batch goes out as ``(route,
-LLRs, budgets)`` — the frames' LLR vectors, stacked by the worker — and
-comes back as ``(bits, converged, iterations)``; the parent records
-every metric.  Batches complete strictly in
-batch-sequence order, so results and metrics are deterministic for any
-lane count.
+frames, budgets)`` — the admitted frames stacked by the parent into one
+``(frames, n)`` array, ``int8`` for the 6-bit format (n bytes a frame,
+not the 8n of float64 LLRs) — and comes back as ``(bits, converged,
+iterations)``; the parent records every metric.  Batches complete
+strictly in batch-sequence order, so results and metrics are
+deterministic for any lane count.
 
 Pipelining: up to ``window`` batches stay in flight per lane, so batch
 ``k+1``'s formation and LLR prep overlap batch ``k``'s decode — the
@@ -49,8 +53,10 @@ in-flight batches.  The pump respawns the lane (``pool.worker_restart``)
 and redrives each batch (``fabric.chunks.redriven``) as the merge
 cursor reaches it.  A batch that crashes its worker a fourth time is
 poison: its frames complete ``failed`` (reason ``worker_crash``) and
-the pump keeps serving, so ``completed + rejected + expired + failed
-== submitted`` holds through any crash.
+the pump keeps serving.  A batch whose decode raises in the worker
+fails at once (reason ``decode_error``, not redriven: it would raise
+again).  So ``completed + rejected + expired + failed == submitted``
+holds through any crash.
 
 Degradation is layered (cheapest first): converged frames freeze inside
 the batched decoder (free, always on); the iteration-budget controller
@@ -67,18 +73,22 @@ from __future__ import annotations
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..codes.construction import LdpcCode
-from ..decode.batch import make_batch_decoder
+from ..decode.batch import channel_format, make_batch_decoder
 from ..decode.zigzag import resolve_segments
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.trace import TraceRecorder
+from ..quantize.fixed_point import check_finite, quantize_llrs
 from ..sim.pool import PersistentPool
 from .api import (
+    REASON_BAD_FRAME,
     REASON_DEADLINE,
+    REASON_DECODE_ERROR,
     REASON_QUEUE_FULL,
     REASON_WORKER_CRASH,
     STATUS_EXPIRED,
@@ -110,6 +120,31 @@ _ITER_COST_ALPHA = 0.3
 _MAX_REDRIVES = 3
 
 
+def _finite_float64(llrs: np.ndarray) -> np.ndarray:
+    """Admission of a float schedule: the LLRs as they came, if finite."""
+    check_finite(llrs)
+    return llrs
+
+
+def _admission(config: ServeConfig) -> tuple:
+    """``(admit, entry)`` for a service's schedule, picked once.
+
+    ``admit`` turns one float64 frame into what its queue holds and
+    ``entry`` names the decoder method that takes a stacked batch of
+    them: the decoder's own quantizer and ``decode_quantized_batch``
+    for the quantized schedules, float64 and ``decode_batch`` for the
+    float ones.  ``admit`` raises ``ValueError`` on a NaN or infinite
+    LLR.
+    """
+    fmt = channel_format(config.schedule, config.fmt)
+    if fmt is None:
+        return _finite_float64, "decode_batch"
+    admit = partial(
+        quantize_llrs, fmt=fmt, channel_scale=config.channel_scale
+    )
+    return admit, "decode_quantized_batch"
+
+
 # ----------------------------------------------------------------------
 # Worker side: each pool process holds one decoder per route.
 _WORKER: dict = {}
@@ -126,22 +161,29 @@ def _decoder_params(config: ServeConfig) -> dict:
     }
 
 
-def _init_worker(routes: dict, params: dict) -> None:
+def _init_worker(routes: dict, params: dict, entry: str) -> None:
     """Pool initializer: build a decoder for every route known when
-    the worker starts (``routes`` is inherited through ``fork``)."""
+    the worker starts (``routes`` is inherited through ``fork``);
+    ``entry`` is the decoder method batches go to (see
+    :func:`_admission`)."""
     _WORKER["params"] = params
+    _WORKER["entry"] = entry
     _WORKER["decoders"] = {
         key: make_batch_decoder(route.code, **params)
         for key, route in routes.items()
     }
 
 
-def _decode_task(key, recipe, frames: list, budgets) -> tuple:
+def _decode_task(key, recipe, frames: np.ndarray, budgets) -> tuple:
     """Pool entry point: decode one micro-batch of route ``key``.
 
-    ``frames`` are the batch's per-frame LLR vectors; the worker stacks
-    them itself.  A route added after this worker started is built here
-    on its first batch, from the route's picklable code ``recipe``.
+    ``frames`` is the batch as admission holds it, stacked by the
+    parent into one ``(frames, n)`` array: a quantized schedule's
+    fixed-point integers (``int8`` for the 6-bit format, decoded by
+    ``decode_quantized_batch``), float64 LLRs for a float schedule.
+    The worker neither stacks nor quantizes.  A route added after this
+    worker started is built here on its first batch, from the route's
+    picklable code ``recipe``.
     """
     decoders = _WORKER["decoders"]
     decoder = decoders.get(key)
@@ -149,8 +191,8 @@ def _decode_task(key, recipe, frames: list, budgets) -> tuple:
         decoder = decoders[key] = make_batch_decoder(
             recipe(), **_WORKER["params"]
         )
-    result = decoder.decode_batch(
-        np.stack(frames), max_iterations=budgets, early_stop=True
+    result = getattr(decoder, _WORKER["entry"])(
+        frames, max_iterations=budgets, early_stop=True
     )
     return result.bits, result.converged, result.iterations
 
@@ -258,6 +300,9 @@ class DecodeService:
         )
         #: Per-frame budgets need a decoder that takes them.
         self._frame_budgets_ok = serve.schedule.startswith("quantized")
+        #: What ``submit`` turns a frame into, and the decoder method
+        #: a stacked batch of them goes to (see :func:`_admission`).
+        self._admit, self._entry = _admission(serve)
         self._lanes = lanes
         self._owned_pools = [
             lane.pool for lane in lanes if lane.pool is not pool
@@ -277,7 +322,9 @@ class DecodeService:
             (k, id(v) if k == "fmt" else v) for k, v in sorted(params.items())
         )
         for lane in lanes:
-            lane.pool.configure(_init_worker, (self._routes, params), key=key)
+            lane.pool.configure(
+                _init_worker, (self._routes, params, self._entry), key=key
+            )
         #: Max batches in flight per lane (1 on the inline path).
         self.pipeline_depth = lanes[0].window if lanes else 1
         registry.gauge("serve.pipeline.depth").set(self.pipeline_depth)
@@ -323,9 +370,12 @@ class DecodeService:
     ) -> int:
         """Admit one frame of channel LLRs; returns its request id.
 
-        The result (decoded bits, or a typed rejection when the queue
-        is full) arrives via :meth:`poll` after a :meth:`pump` — a
-        rejected request completes immediately.  ``deadline_s`` is an
+        The frame is held from here on as its decoder reads it (see
+        the module docstring).  The result (decoded bits, or a typed
+        rejection: :data:`~repro.serve.api.REASON_BAD_FRAME` for a NaN
+        or infinite LLR, :data:`~repro.serve.api.REASON_QUEUE_FULL`)
+        arrives via :meth:`poll` after a :meth:`pump` — a rejected
+        request completes immediately.  ``deadline_s`` is an
         absolute service-clock deadline overriding the config default;
         ``now`` overrides the clock (loadgen backdates arrivals to the
         scheduled offered-rate instants, so queueing delay includes
@@ -343,6 +393,10 @@ class DecodeService:
             llrs = np.asarray(llrs, dtype=np.float64)
             if llrs.shape != (route.code.n,):
                 raise ValueError(f"expected shape ({route.code.n},) LLRs")
+            try:
+                frame = self._admit(llrs)
+            except ValueError:  # a NaN or infinite LLR
+                frame = None
             now = self.clock() if now is None else now
             request_id = self._next_id
             self._next_id += 1
@@ -350,7 +404,7 @@ class DecodeService:
                 deadline_s = now + self._serve.deadline_ms / 1e3
             request = DecodeRequest(
                 request_id=request_id,
-                llrs=llrs,
+                llrs=frame,
                 arrival_s=now,
                 deadline_s=deadline_s,
                 client=client,
@@ -361,6 +415,11 @@ class DecodeService:
                 reg.counter("serve.requests.submitted").inc()
                 if modcod is not None:
                     reg.counter(f"serve.modcod.{modcod}.submitted").inc()
+            if frame is None:
+                self._drop(
+                    request, views, STATUS_REJECTED, REASON_BAD_FRAME, now
+                )
+                return request_id
             pin = self.dispatch.route(request)
             queue = self._queues.get((key, pin))
             if queue is None:
@@ -504,9 +563,11 @@ class DecodeService:
         status: str,
         reason: str,
         now: float,
+        error: Optional[str] = None,
     ) -> None:
         """The single drop path: count, trace and complete a frame that
-        will not be decoded (rejected, expired or failed)."""
+        will not be decoded (rejected, expired or failed).  ``error``
+        is the exception text of a batch whose decode raised."""
         for reg in views:
             reg.counter(f"serve.requests.{status}").inc()
             if request.modcod is not None:
@@ -521,12 +582,14 @@ class DecodeService:
             )
         )
         if self.trace is not None:
+            extra = {} if error is None else {"error": error}
             self.trace.event(
                 "serve_drop",
                 request=request.request_id,
                 status=status,
                 reason=reason,
                 waited_s=round(now - request.arrival_s, 6),
+                **extra,
             )
 
     def _expire(self, now: float) -> None:
@@ -625,10 +688,7 @@ class DecodeService:
             budgets, deadline_capped = self._frame_budget_vector(
                 requests, batch_budget, now
             )
-            frames = [r.llrs for r in requests]
-            # A lane's worker stacks the frames itself, so the parent
-            # holds no second copy of an in-flight batch.
-            llrs = frames if self._lanes else np.stack(frames)
+            llrs = np.stack([r.llrs for r in requests])
         seq = self._batch_seq
         self._batch_seq += 1
         meta = {
@@ -645,7 +705,7 @@ class DecodeService:
         seq, requests, llrs, budgets, meta = self._form_batch(queue, now)
         route = self._routes[key]
         with self.registry.timer("serve.stage.decode") as timer:
-            result = route.decoder.decode_batch(
+            result = getattr(route.decoder, self._entry)(
                 llrs, max_iterations=budgets, early_stop=True
             )
         self._next_merge_seq = seq + 1
@@ -662,28 +722,39 @@ class DecodeService:
         index: int,
         now: float,
     ) -> None:
-        """Ship one batch to lane ``index``.  Submission (argument
-        pickling into the worker pipe) is its own stage; the decode
-        stage's busy time is recorded at collect."""
+        """Ship one batch to lane ``index``; the decode stage's busy
+        time is recorded at collect."""
         seq, requests, llrs, budgets, meta = self._form_batch(queue, now)
         lane = self._lanes[index]
         meta.update(lane=index, route=key)
         meta["task"] = (key, self._routes[key].recipe, llrs, budgets)
-        with self.registry.timer("serve.stage.dispatch"):
-            future = lane.pool.submit(_decode_task, *meta["task"])
+        future = self._submit_task(lane, meta["task"])
         self._pending[seq] = (future, requests, meta)
         lane.batches += 1
         lane.frames += len(requests)
         self.registry.gauge("serve.pipeline.inflight").set(len(self._pending))
+
+    def _submit_task(self, lane: Lane, task: tuple):
+        """Send one batch ``task`` to ``lane``'s pool; returns the
+        future.  Submission (argument pickling into the worker pipe) is
+        the dispatch stage, and every send, redrives included, counts
+        its frames and their bytes (``serve.dispatch.*``)."""
+        _key, _recipe, frames, _budgets = task
+        with self.registry.timer("serve.stage.dispatch"):
+            future = lane.pool.submit(_decode_task, *task)
+        self.registry.counter("serve.dispatch.frames").inc(len(frames))
+        self.registry.counter("serve.dispatch.llr_bytes").inc(frames.nbytes)
+        return future
 
     def _collect(self, *, block: bool, limit: Optional[int] = None) -> None:
         """Fold finished batches in, strictly in sequence order.
 
         ``limit`` folds at most that many batches (the flush waits for
         one slot at a time).  A batch whose worker died is redriven, or
-        failed once it has used up its redrives.  The blocking wait sits
-        *outside* the ``collect`` stage span: waiting for a worker is
-        pipeline stall, not collect work.
+        failed once it has used up its redrives; a batch whose task
+        raised fails at once (a redrive would raise again).  The
+        blocking wait sits *outside* the ``collect`` stage span: waiting
+        for a worker is pipeline stall, not collect work.
         """
         folded = 0
         while self._next_merge_seq in self._pending:
@@ -693,12 +764,16 @@ class DecodeService:
             future, requests, meta = self._pending[seq]
             if not block and not future.done():
                 return
+            reason = error = None
             try:
                 outcome = future.result()
             except BrokenExecutor:
                 if self._redrive(seq):
                     continue
-                outcome = None
+                reason = REASON_WORKER_CRASH
+            except Exception as exc:  # the task raised: fail its batch
+                reason = REASON_DECODE_ERROR
+                error = f"{type(exc).__name__}: {exc}"
             lane = self._lanes[meta["lane"]]
             views = self._views(self._routes[meta["route"]], lane)
             with self.registry.timer("serve.stage.collect"):
@@ -710,12 +785,11 @@ class DecodeService:
                     len(self._pending)
                 )
             folded += 1
-            if outcome is None:
+            if reason is not None:
                 now = self.clock()
                 for request in requests:
                     self._drop(
-                        request, views, STATUS_FAILED, REASON_WORKER_CRASH,
-                        now,
+                        request, views, STATUS_FAILED, reason, now, error
                     )
                 continue
             # Service time on a lane is submission-to-merge (includes
@@ -754,7 +828,7 @@ class DecodeService:
                 lane=meta["lane"],
                 occupancy=len(requests),
             )
-        future = lane.pool.submit(_decode_task, *meta["task"])
+        future = self._submit_task(lane, meta["task"])
         self._pending[seq] = (future, requests, meta)
         return True
 

@@ -192,6 +192,29 @@ def test_decode_quantized_batch_accepts_integers(code_half):
     assert np.array_equal(via_float.iterations, via_int.iterations)
 
 
+def test_minsum_decode_quantized_batch(code_half_tiny):
+    """The min-sum decoder takes already-quantized batches too, as the
+    serve plane hands them over: per-frame budgets and results as from
+    ``decode_batch`` on the float LLRs, and integers outside the format
+    raise."""
+    _, llrs = _frame_batch(code_half_tiny, 2.0, 3, seed=4, hopeless=1)
+    batch = BatchQuantizedMinSumDecoder(
+        code_half_tiny, normalization=0.75, channel_scale=0.5
+    )
+    ints = batch.quantize_channel(llrs)
+    assert ints.dtype == np.int8
+    budgets = np.array([12, 5, 9])
+    via_float = batch.decode_batch(llrs, max_iterations=budgets)
+    via_int = batch.decode_quantized_batch(ints, max_iterations=budgets)
+    assert np.array_equal(via_float.bits, via_int.bits)
+    assert np.array_equal(via_float.iterations, via_int.iterations)
+    assert np.array_equal(via_float.converged, via_int.converged)
+    wrapped = ints.astype(np.int16)
+    wrapped[0, 3] = 32
+    with pytest.raises(ValueError, match=r"\[-31, 31\]"):
+        batch.decode_quantized_batch(wrapped)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_decode_quantized_batch_rejects_out_of_format(code_half, backend):
     """The int8 message dtype would wrap integers outside the 6-bit
@@ -206,7 +229,8 @@ def test_decode_quantized_batch_rejects_out_of_format(code_half, backend):
     ints = batch.quantize_channel(strong)
     assert ints.min() == -31 and ints.max() == 31
     for bad in (32, 200, -32):
-        wrapped = ints.copy()
+        # quantize_channel returns int8, which cannot hold 200.
+        wrapped = ints.astype(np.int16)
         wrapped[1, 7] = bad
         with pytest.raises(ValueError, match=r"\[-31, 31\]"):
             batch.decode_quantized_batch(wrapped)

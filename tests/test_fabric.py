@@ -8,6 +8,7 @@ crash recovery that loses nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -17,7 +18,9 @@ import repro.serve.engine as engine_mod
 import repro.sim.pool as pool_mod
 from repro.obs.capacity import capacity_from_bench, points_from_bench
 from repro.obs.registry import MetricsRegistry, merge_snapshots
+from repro.obs.trace import TraceRecorder
 from repro.serve import (
+    REASON_DECODE_ERROR,
     REASON_WORKER_CRASH,
     STATUS_FAILED,
     STATUS_OK,
@@ -412,15 +415,33 @@ class TestSubmitValidation:
 # ----------------------------------------------------------------------
 # poison chunks: a chunk that keeps crashing workers fails its own frames
 # ----------------------------------------------------------------------
-#: First LLR of the frame whose chunk kills every worker it reaches.
-_SENTINEL = 1234.5
+#: First LLRs of the frame whose chunk a patched worker task singles
+#: out.  Admission saturates them into :data:`_SENTINEL_INTS`, the
+#: pattern the worker sees (a float sentinel would not survive it).
+_SENTINEL = np.array([100.0, -100.0] * 4)
+_SENTINEL_INTS = np.array([31, -31] * 4)
 _real_decode_task = engine_mod._decode_task
+
+
+def _marked(frames) -> bool:
+    """Whether a dispatched batch carries the sentinel frame."""
+    head = len(_SENTINEL_INTS)
+    return any(
+        np.array_equal(frame[:head], _SENTINEL_INTS) for frame in frames
+    )
 
 
 def _poison_decode_task(key, recipe, frames, budgets):
     """Worker task that dies on any batch carrying the sentinel frame."""
-    if any(frame[0] == _SENTINEL for frame in frames):
+    if _marked(frames):
         os._exit(1)
+    return _real_decode_task(key, recipe, frames, budgets)
+
+
+def _raising_decode_task(key, recipe, frames, budgets):
+    """Worker task that raises on any batch carrying the sentinel frame."""
+    if _marked(frames):
+        raise RuntimeError("poisoned batch")
     return _real_decode_task(key, recipe, frames, budgets)
 
 
@@ -433,7 +454,8 @@ class TestPoisonChunk:
         config = _calm_config(max_batch=4)
         expected = _single_service_bits(code_half_tiny, config, frames)
         llrs = frames.llrs.copy()
-        llrs[5, 0] = _SENTINEL  # frames 4..7 share the poisoned chunk
+        # Frames 4..7 share the poisoned chunk.
+        llrs[5, : len(_SENTINEL)] = _SENTINEL
         fabric = DecodeFabric(
             code_half_tiny,
             FabricConfig(workers=2, serve=config),
@@ -468,9 +490,116 @@ class TestPoisonChunk:
         )
 
 
-def test_soak_verifier_counts_failed_frames():
-    """The CI soak check books failed frames as exits and rejects them:
-    a healed kill must lose nothing."""
+def _two_worker_plane(plane, code, config, **kwargs):
+    """A pooled ``DecodeService`` or a ``DecodeFabric`` with 2 workers."""
+    if plane == "pooled":
+        return DecodeService(
+            code, dataclasses.replace(config, workers=2),
+            registry=MetricsRegistry(), **kwargs,
+        )
+    return DecodeFabric(
+        code, FabricConfig(workers=2, serve=config),
+        registry=MetricsRegistry(), **kwargs,
+    )
+
+
+class TestRaisingTask:
+    """A worker task that raises fails its own batch at once, with a
+    typed reason and the exception text in the trace, and the pump
+    keeps serving: no redrive, no exception out of ``flush``."""
+
+    @pytest.mark.parametrize("plane", ["pooled", "fabric"])
+    def test_raising_batch_fails_only_its_frames(
+        self, code_half_tiny, frames, monkeypatch, plane
+    ):
+        # Patched before any worker forks, so every worker inherits it.
+        monkeypatch.setattr(engine_mod, "_decode_task", _raising_decode_task)
+        config = _calm_config(max_batch=4)
+        expected = _single_service_bits(code_half_tiny, config, frames)
+        llrs = frames.llrs.copy()
+        llrs[5, : len(_SENTINEL)] = _SENTINEL  # frames 4..7: one batch
+        trace = TraceRecorder()
+        service = _two_worker_plane(
+            plane, code_half_tiny, config, trace=trace
+        )
+        if not service._lanes:
+            service.close()
+            pytest.skip("no fork: batches decode inline")
+        ids = [
+            service.submit(llrs[i], now=float(i))
+            for i in range(len(frames))
+        ]
+        service.pump(now=100.0)
+        service.flush(now=100.0)
+        service.close()
+        by_id = {r.request_id: r for r in service.poll()}
+        poisoned = {ids[i] for i in range(4, 8)}
+        for i, rid in enumerate(ids):
+            result = by_id[rid]
+            if rid in poisoned:
+                assert result.status == STATUS_FAILED
+                assert result.reason == REASON_DECODE_ERROR
+            else:
+                assert result.status == STATUS_OK
+                assert np.array_equal(result.bits, expected[i])
+        counters = service.merged_snapshot()["counters"]
+        assert counters["serve.requests.failed"] == 4
+        assert counters["serve.requests.completed"] == len(frames) - 4
+        assert counters["serve.requests.submitted"] == len(frames)
+        assert "fabric.chunks.redriven" not in counters
+        drops = [e for e in trace.events if e["type"] == "serve_drop"]
+        assert sorted(e["request"] for e in drops) == sorted(poisoned)
+        assert all(
+            e["error"] == "RuntimeError: poisoned batch" for e in drops
+        )
+
+
+def _int8_decode_task(key, recipe, frames, budgets):
+    """Worker task that checks what crossed the process boundary."""
+    if frames.dtype != np.int8 or frames.nbytes != frames.size:
+        raise TypeError(f"worker got {frames.dtype} frames")
+    return _real_decode_task(key, recipe, frames, budgets)
+
+
+class TestWorkerPayload:
+    """For the 6-bit schedule a frame crosses into a worker as n int8
+    values, quantized once at admission, not as 8n bytes of float64."""
+
+    @pytest.mark.parametrize("plane", ["pooled", "fabric"])
+    def test_queued_and_dispatched_frames_are_int8(
+        self, code_half_tiny, frames, monkeypatch, plane
+    ):
+        monkeypatch.setattr(engine_mod, "_decode_task", _int8_decode_task)
+        n = code_half_tiny.n
+        service = _two_worker_plane(
+            plane, code_half_tiny,
+            _calm_config(max_batch=4, max_linger_ms=1e6),
+        )
+        if not service._lanes:
+            service.close()
+            pytest.skip("no fork: batches decode inline")
+        with service:
+            for i in range(6):
+                service.submit(frames.llrs[i], now=0.0)
+            assert service.pump(now=0.0) == 1  # the full batch leaves
+            queued = [
+                request.llrs
+                for queue in service._queues.values()
+                for request in queue._items
+            ]
+            assert len(queued) == 2
+            for frame in queued:
+                assert frame.dtype == np.int8 and frame.shape == (n,)
+            service.flush(now=0.0)
+            results = service.poll()
+            counters = service.merged_snapshot()["counters"]
+        assert [r.status for r in results] == [STATUS_OK] * 6
+        assert counters["serve.dispatch.frames"] == 6
+        assert counters["serve.dispatch.llr_bytes"] == 6 * n
+
+
+def _load_soak_verifier():
+    """``benchmarks/verify_fabric_soak.py`` as a module."""
     import importlib.util
 
     path = os.path.join(
@@ -480,6 +609,13 @@ def test_soak_verifier_counts_failed_frames():
     spec = importlib.util.spec_from_file_location("verify_fabric_soak", path)
     soak = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(soak)
+    return soak
+
+
+def test_soak_verifier_counts_failed_frames():
+    """The CI soak check books failed frames as exits and rejects them:
+    a healed kill must lose nothing."""
+    soak = _load_soak_verifier()
     views = {"fabric": {}, "worker0": {}, "worker1": {}}
     clean = {"workers": views, "counters": {
         "serve.requests.submitted": 8, "serve.requests.completed": 8,
@@ -492,3 +628,24 @@ def test_soak_verifier_counts_failed_frames():
     }}
     problems = soak.verify(lossy, workers=2)
     assert len(problems) == 1 and "4 frames failed" in problems[0]
+
+
+def test_soak_verifier_checks_one_byte_per_llr():
+    """With the code length given, the soak check requires the frames
+    sent to workers to weigh n bytes each (float64 frames weigh 8n)."""
+    soak = _load_soak_verifier()
+    views = {"fabric": {}, "worker0": {}, "worker1": {}}
+
+    def snapshot(frames, llr_bytes):
+        return {"workers": views, "counters": {
+            "serve.requests.submitted": 8, "serve.requests.completed": 8,
+            "pool.worker_restart": 1, "serve.dispatch.frames": frames,
+            "serve.dispatch.llr_bytes": llr_bytes,
+        }}
+
+    assert soak.verify(snapshot(10, 21600), workers=2, n=2160) == []
+    assert soak.verify(snapshot(10, 8 * 21600), workers=2) == []
+    (problem,) = soak.verify(snapshot(10, 8 * 21600), workers=2, n=2160)
+    assert "17280 per frame" in problem
+    (problem,) = soak.verify(snapshot(0, 0), workers=2, n=2160)
+    assert "no frames were dispatched" in problem

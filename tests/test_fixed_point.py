@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quantize import MESSAGE_5BIT, MESSAGE_6BIT, FixedPointFormat
+from repro.quantize import (
+    MESSAGE_5BIT,
+    MESSAGE_6BIT,
+    FixedPointFormat,
+    quantize_llrs,
+)
 
 
 def test_six_bit_range():
@@ -64,6 +69,57 @@ def test_quantize_rejects_non_finite_anywhere(bad):
     values[2, 399] = bad
     with pytest.raises(ValueError, match="finite"):
         MESSAGE_6BIT.quantize(values)
+
+
+@pytest.mark.parametrize("channel_scale", [1.0, 0.5])
+@pytest.mark.parametrize(
+    "fmt",
+    [MESSAGE_6BIT, FixedPointFormat(5, 1), FixedPointFormat(8, 3)],
+    ids=["6.2", "5.1", "8.3"],
+)
+def test_quantize_llrs_is_quantize_of_the_scaled_llrs(fmt, channel_scale):
+    """The serve plane's and the batched decoders' quantizer gives the
+    integers of ``fmt.quantize(x * channel_scale)`` in the format's
+    narrow dtype: ties at +-0.5 and +-1.5 LSB round half to even, -0.0
+    and subnormals give 0, and finite extremes saturate."""
+    lsb = fmt.scale / channel_scale  # one LSB after scaling
+    ties = np.array([0.5, -0.5, 1.5, -1.5]) * lsb
+    tiny = np.array([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+    huge = np.finfo(np.float64).max
+    extremes = np.array([1e308, -1e308, huge, -huge])
+    noise = np.random.default_rng(7).normal(0.0, 6.0, (3, 500))
+    values = np.concatenate([ties, tiny, extremes, noise.ravel()])
+    with np.errstate(over="ignore"):  # the extremes overflow the scale
+        for x in (values, values.reshape(4, -1)):
+            got = quantize_llrs(x, fmt, channel_scale)
+            assert got.dtype == fmt.int_dtype == np.int8
+            np.testing.assert_array_equal(
+                got, fmt.quantize(x * channel_scale)
+            )
+        got = quantize_llrs(values, fmt, channel_scale)
+    np.testing.assert_array_equal(got[:4], [0, 0, 2, -2])
+    np.testing.assert_array_equal(got[4:8], 0)
+    np.testing.assert_array_equal(
+        got[8:12], [fmt.max_int, fmt.min_int] * 2
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_llrs_rejects_non_finite(bad):
+    values = np.random.default_rng(8).normal(0.0, 4.0, (2, 300))
+    values[1, 123] = bad
+    with pytest.raises(ValueError, match="finite"):
+        quantize_llrs(values, MESSAGE_6BIT)
+    with pytest.raises(ValueError, match="finite"):
+        quantize_llrs(values, MESSAGE_6BIT, channel_scale=0.5)
+
+
+def test_int_dtype_is_the_narrowest_that_holds_the_format():
+    assert MESSAGE_6BIT.int_dtype == np.int8
+    assert FixedPointFormat(8, 3).int_dtype == np.int8
+    assert FixedPointFormat(9, 3).int_dtype == np.int16
+    assert FixedPointFormat(16, 3).int_dtype == np.int16
+    assert FixedPointFormat(17, 3).int_dtype == np.int32
 
 
 def test_quantize_leaves_its_input_unwritten():

@@ -197,6 +197,41 @@ class TestGatewayProtocol:
                 # The connection survives the errors.
                 assert client.ping()["ok"]
 
+    def test_non_finite_frame_answered_as_rejected(
+        self, code_half_tiny, frames
+    ):
+        """A NaN frame gets a typed rejection; the gateway's pump lives
+        on and answers the good frame sent right after it."""
+        config = _calm_config()
+        expected = _reference_bits(code_half_tiny, config, frames)
+        fabric = DecodeFabric(
+            code_half_tiny,
+            FabricConfig(workers=2, serve=config),
+            registry=MetricsRegistry(),
+        )
+        bad = frames.llrs[0].copy()
+        bad[3] = np.nan
+        got = {}
+        with _GatewayHarness(fabric) as server:
+            with FabricClient(
+                "127.0.0.1", server.port, timeout_s=10.0,
+                on_response=lambda r: got.__setitem__(r["id"], r),
+            ) as client:
+                client.decode(bad, correlation="nan")
+                client.decode(frames.llrs[1], correlation="good")
+                client.drain()
+                counters = client.stats()["counters"]
+        assert got["nan"]["status"] == "rejected"
+        assert got["nan"]["reason"] == "bad_frame"
+        assert got["good"]["status"] == "ok"
+        assert np.array_equal(
+            unpack_bits_hex(got["good"]["bits"], code_half_tiny.n),
+            expected[1],
+        )
+        assert counters["serve.requests.submitted"] == 2
+        assert counters["serve.requests.rejected"] == 1
+        assert counters["serve.requests.completed"] == 1
+
     def test_client_window_backpressure(self, code_half_tiny, frames):
         fabric = DecodeFabric(
             code_half_tiny,

@@ -12,7 +12,9 @@ import pytest
 
 from repro.decode.batch import make_batch_decoder
 from repro.obs.registry import MetricsRegistry
+from repro.quantize import FixedPointFormat
 from repro.serve import (
+    REASON_BAD_FRAME,
     REASON_DEADLINE,
     REASON_QUEUE_FULL,
     STATUS_EXPIRED,
@@ -233,6 +235,37 @@ class TestDecodeService:
         assert len(rejected) == 1
         assert rejected[0].reason == REASON_QUEUE_FULL
         counters = svc.registry.snapshot()["counters"]
+        assert counters["serve.requests.rejected"] == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected_at_admission(
+        self, code_half, frames_half, bad
+    ):
+        """A NaN or infinite LLR is rejected at the door as a bad frame;
+        its would-be batch-mates decode as if it had never come."""
+        clock = ManualClock()
+        svc = _service(code_half, clock, max_linger_ms=0.0)
+        llrs = frames_half.llrs[:5].copy()
+        llrs[2, 17] = bad
+        ids = [svc.submit(frame) for frame in llrs]
+        (rejected,) = svc.poll()  # completes at once, before any pump
+        assert rejected.request_id == ids[2]
+        assert rejected.status == STATUS_REJECTED
+        assert rejected.reason == REASON_BAD_FRAME
+        svc.flush()
+        results = {r.request_id: r for r in svc.poll()}
+        good = [i for i in range(5) if i != 2]
+        offline = make_batch_decoder(
+            code_half, schedule="quantized-zigzag", normalization=0.75
+        ).decode_batch(llrs[good], max_iterations=20)
+        for row, i in enumerate(good):
+            assert results[ids[i]].status == STATUS_OK
+            np.testing.assert_array_equal(
+                results[ids[i]].bits, offline.bits[row]
+            )
+        counters = svc.registry.snapshot()["counters"]
+        assert counters["serve.requests.submitted"] == 5
+        assert counters["serve.requests.completed"] == 4
         assert counters["serve.requests.rejected"] == 1
 
     def test_deadline_expiry(self, code_half, frames_half):
@@ -522,6 +555,38 @@ class TestPooledService:
             np.testing.assert_array_equal(mine.bits, ref.bits)
             assert mine.iterations == ref.iterations
 
+    def test_non_finite_frame_never_reaches_a_worker(
+        self, code_half, frames_half
+    ):
+        """A NaN frame is rejected at admission, so no worker raises on
+        it: its batch-mates decode, and ``flush``/``close`` return."""
+        pooled = DecodeService(
+            code_half,
+            ServeConfig(max_batch=4, max_linger_ms=0.0,
+                        max_iterations=30, workers=2),
+            registry=MetricsRegistry(),
+        )
+        llrs = frames_half.llrs[:5].copy()
+        llrs[1, 0] = np.nan
+        with pooled:
+            ids = [pooled.submit(frame) for frame in llrs]
+            pooled.flush()
+        results = {r.request_id: r for r in pooled.poll()}
+        assert results[ids[1]].status == STATUS_REJECTED
+        assert results[ids[1]].reason == REASON_BAD_FRAME
+        good = [i for i in range(5) if i != 1]
+        offline = make_batch_decoder(
+            code_half, schedule="quantized-zigzag", normalization=0.75
+        ).decode_batch(llrs[good], max_iterations=30)
+        for row, i in enumerate(good):
+            np.testing.assert_array_equal(
+                results[ids[i]].bits, offline.bits[row]
+            )
+        counters = pooled.registry.snapshot()["counters"]
+        assert counters["serve.requests.submitted"] == 5
+        assert counters["serve.requests.completed"] == 4
+        assert counters["serve.requests.rejected"] == 1
+
     @pytest.mark.parametrize(
         "settings",
         [
@@ -565,6 +630,67 @@ class TestPooledService:
             with pytest.raises(ValueError, match="segments=7 must divide"):
                 plane.service_for(ModCod("1/2"))
             assert plane.active_modcods == []
+
+
+class TestDecoderSettingsReachAdmission:
+    """Frames are quantized at admission, in the parent, so the
+    decoder's format and channel scale must reach admission on every
+    plane: each serves the bits of the offline decoder built with the
+    same settings."""
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"channel_scale": 0.5},
+            {"fmt": FixedPointFormat(5, 1)},
+            {"fmt": FixedPointFormat(8, 3)},
+        ],
+        ids=["scale-0.5", "fmt-5.1", "fmt-8.3"],
+    )
+    @pytest.mark.parametrize("plane", ["inline", "pooled", "fabric", "modcod"])
+    def test_bits_match_offline_decoder(self, code_half_tiny, plane, settings):
+        from repro.acm import ModCod, MultiModcodService
+        from repro.serve import DecodeFabric, FabricConfig
+
+        config = dict(max_batch=4, max_linger_ms=0.0, max_iterations=8,
+                      min_iterations=8, **settings)
+        modcod = ModCod("1/2")
+        if plane == "modcod":
+            service = MultiModcodService(
+                ServeConfig(**config), parallelism=12
+            )
+            code = service.service_for(modcod)
+        elif plane == "fabric":
+            code = code_half_tiny
+            service = DecodeFabric(
+                code, FabricConfig(workers=2, serve=ServeConfig(**config)),
+                registry=MetricsRegistry(),
+            )
+        else:
+            code = code_half_tiny
+            workers = 2 if plane == "pooled" else 1
+            service = DecodeService(
+                code, ServeConfig(workers=workers, **config),
+                registry=MetricsRegistry(),
+            )
+        llrs = make_frame_pool(code, pool_size=8, ebn0_db=1.5, seed=21).llrs
+        with service:
+            if plane == "modcod":
+                ids = [service.submit(frame, modcod) for frame in llrs]
+            else:
+                ids = [service.submit(frame) for frame in llrs]
+            service.flush()
+            results = {r.request_id: r for r in service.poll()}
+        offline = make_batch_decoder(
+            code, schedule="quantized-zigzag", normalization=0.75,
+            **settings,
+        ).decode_batch(llrs, max_iterations=8)
+        for i, request_id in enumerate(ids):
+            assert results[request_id].status == STATUS_OK
+            np.testing.assert_array_equal(
+                results[request_id].bits, offline.bits[i]
+            )
+            assert results[request_id].iterations == offline.iterations[i]
 
 
 class TestDeadlineBudgets:
