@@ -20,9 +20,11 @@ def test_full_frame_waterfall(once):
 
     def run():
         below = fast_ber(code, ebn0_db=1.1, frames=FRAMES,
-                         max_iterations=30, seed=1, batch_size=7)
+                         max_iterations=30, seed=1, batch_size=7,
+                         schedule="flooding")
         above = fast_ber(code, ebn0_db=1.5, frames=FRAMES,
-                         max_iterations=30, seed=1, batch_size=7)
+                         max_iterations=30, seed=1, batch_size=7,
+                         schedule="flooding")
         return below, above
 
     below, above = once(run)

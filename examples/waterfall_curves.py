@@ -30,7 +30,7 @@ def main() -> None:
         for ebn0 in ebn0_points:
             result = fast_ber(
                 code, ebn0_db=float(ebn0), frames=FRAMES,
-                max_iterations=30, seed=3,
+                max_iterations=30, seed=3, schedule="flooding",
             )
             points.append((float(ebn0), result.ber))
             print(".", end="", flush=True)

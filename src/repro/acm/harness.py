@@ -476,6 +476,9 @@ def run_matrix(
             seed=seed + index,
             workers=workers,
             channel=channel_spec(cell.modcod, cell.channel),
+            # The committed matrix was measured on float zigzag; it moves
+            # to the served decoder together with its check-node rule.
+            schedule="zigzag",
         )
         waterfall = _crossing_db(points, target_fer)
         row = ScenarioRow(

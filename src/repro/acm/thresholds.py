@@ -100,6 +100,9 @@ def _fer_at(
         frames=frames,
         max_iterations=max_iterations,
         channel=ch,
+        # The committed thresholds describe float flooding; they move to
+        # the served decoder together with its check-node rule.
+        schedule="flooding",
     )
     return result.fer
 
@@ -121,8 +124,9 @@ def derive_threshold_table(
     """Measure each MODCOD's threshold by bisecting its FER waterfall.
 
     For every MODCOD the Es/N0 where the FER crosses ``target_fer`` is
-    located by bisection over :func:`~repro.sim.fast.fast_ber` (through
-    the channel-factory cell for ``channel``), then ``margin_db`` of
+    located by bisection over float flooding min-sum
+    :func:`~repro.sim.fast.fast_ber` runs (through the channel-factory
+    cell for ``channel``), then ``margin_db`` of
     link margin is added — the table records where the MODCOD is *safe*
     to run, not where it starts limping.  ``parallelism`` scales
     normal-frame codes for fast derivation; thresholds derived on the

@@ -85,21 +85,75 @@ def _write_metrics(path: str, snapshot: dict) -> None:
         handle.write("\n")
 
 
-def _resolve_fmt(args: argparse.Namespace):
-    """Fixed-point format for the quantized schedules (else ``None``).
+class _FlagError(Exception):
+    """Flag values the program cannot run with: one ``error:`` line and
+    exit code 2, not a traceback."""
+
+
+def add_decoder_flags(p: argparse.ArgumentParser) -> None:
+    """The decoder recipe flags (:class:`~repro.decode.DecoderSpec`),
+    declared once; their defaults and choices are the spec's."""
+    from .decode.batch import BATCH_SCHEDULES, DecoderSpec
+
+    default = DecoderSpec()
+    p.add_argument("--schedule", choices=BATCH_SCHEDULES,
+                   default=default.schedule,
+                   help="batched decoder schedule (default: "
+                        f"{default.schedule}, the served decoder; "
+                        "quantized-* run the paper's fixed-point "
+                        "arithmetic)")
+    p.add_argument("--wordlength", type=int, default=None,
+                   help="fixed-point word width incl. sign for the "
+                        "quantized-* schedules (default: "
+                        f"{default.fmt.total_bits}, the paper's)")
+    p.add_argument("--frac-bits", type=int, default=None,
+                   help="fractional bits of the fixed-point format "
+                        "(default: the paper's 2 for 6-bit, 1 for 5-bit)")
+    p.add_argument("--channel-scale", type=float,
+                   default=default.channel_scale,
+                   help="LLR input scaling before quantization "
+                        "(hardware input conditioning; 0.5 keeps 2 dB "
+                        "LLRs inside the 6-bit range)")
+    p.add_argument("--backend", default=None,
+                   help="array backend for the quantized-* schedules: "
+                        f"{default.backend} (default, the reference) or "
+                        "cnative (compiled C kernels; see 'repro "
+                        "backends'); results are bit-identical across "
+                        "backends")
+
+
+def _decoder_spec(args: argparse.Namespace, cls=None, **settings):
+    """The :class:`~repro.decode.DecoderSpec` (or subclass ``cls``,
+    built with ``settings``) for the decoder flags.
 
     ``--wordlength`` picks the word width; ``--frac-bits`` the binary
     point, defaulting to the paper's reference formats (6-bit: 2
-    fractional bits, 5-bit: 1) and to 2 elsewhere.
+    fractional bits, 5-bit: 1) and to 2 elsewhere; neither flag keeps
+    the spec's format.  A recipe the spec rejects is a
+    :class:`_FlagError`.
     """
-    if not args.schedule.startswith("quantized"):
-        return None
+    from .decode.batch import DecoderSpec
     from .quantize import FixedPointFormat
 
-    frac = args.frac_bits
-    if frac is None:
-        frac = {6: 2, 5: 1}.get(args.wordlength, 2)
-    return FixedPointFormat(total_bits=args.wordlength, frac_bits=frac)
+    try:
+        fmt = None
+        if args.wordlength is not None or args.frac_bits is not None:
+            total = args.wordlength
+            if total is None:
+                total = DecoderSpec().fmt.total_bits
+            frac = args.frac_bits
+            if frac is None:
+                frac = {6: 2, 5: 1}.get(total, 2)
+            fmt = FixedPointFormat(total_bits=total, frac_bits=frac)
+        return (cls or DecoderSpec)(
+            schedule=args.schedule,
+            fmt=fmt,
+            channel_scale=args.channel_scale,
+            backend=args.backend,
+            **settings,
+        )
+    except ValueError as exc:
+        raise _FlagError(str(exc)) from None
 
 
 def _channel_spec_from_args(args: argparse.Namespace):
@@ -156,23 +210,8 @@ def _build_sim_code(args: argparse.Namespace):
 def _cmd_ber(args: argparse.Namespace) -> int:
     from .sim import parallel_ber
 
+    decoder = _decoder_spec(args)
     code = _build_sim_code(args)
-    fmt = _resolve_fmt(args)
-    if fmt is None and args.channel_scale != 1.0:
-        print(
-            "error: --channel-scale applies only to the quantized-* "
-            "schedules",
-            file=sys.stderr,
-        )
-        return 2
-    if args.backend is not None and not args.schedule.startswith(
-        "quantized"
-    ):
-        print(
-            "error: --backend applies only to the quantized-* schedules",
-            file=sys.stderr,
-        )
-        return 2
     spec = _channel_spec_from_args(args)
     trace = _open_trace(args.trace) if args.trace is not None else None
     try:
@@ -184,13 +223,10 @@ def _cmd_ber(args: argparse.Namespace) -> int:
             target_frame_errors=args.target_frame_errors,
             ci_halfwidth=args.ci_halfwidth,
             max_iterations=args.iterations,
-            schedule=args.schedule,
-            fmt=fmt,
-            channel_scale=args.channel_scale,
-            backend=args.backend,
             seed=args.seed,
             channel=spec,
             trace=trace,
+            **vars(decoder),
         )
     finally:
         if trace is not None:
@@ -209,10 +245,11 @@ def _cmd_ber(args: argparse.Namespace) -> int:
     )
     print(f"rate {args.rate} (P={args.parallelism}, n={code.n}) "
           f"at Eb/N0 = {args.ebn0} dB{scenario}{frame}:")
+    fmt = decoder.fmt
     if fmt is not None:
         print(f"  fixed point     : {fmt.total_bits}-bit "
               f"({fmt.frac_bits} fractional), "
-              f"channel scale {args.channel_scale}")
+              f"channel scale {decoder.channel_scale}")
     print(f"  frames          : {result.frames}")
     print(f"  BER             : {result.ber:.3e} "
           f"[{lo:.2e}, {hi:.2e}] (95% Wilson)")
@@ -325,7 +362,9 @@ def _build_serve_code(args: argparse.Namespace):
 def _serve_config(args: argparse.Namespace):
     from .serve import ServeConfig
 
-    return ServeConfig(
+    return _decoder_spec(
+        args,
+        ServeConfig,
         max_batch=args.max_batch,
         max_linger_ms=args.max_linger_ms,
         queue_capacity=args.queue_capacity,
@@ -333,10 +372,6 @@ def _serve_config(args: argparse.Namespace):
         max_iterations=args.iterations,
         min_iterations=args.min_iterations,
         shed_start=args.shed_start,
-        schedule=args.schedule,
-        fmt=_resolve_fmt(args),
-        channel_scale=args.channel_scale,
-        backend=args.backend,
         workers=args.workers,
         pipeline_depth=getattr(args, "pipeline_depth", None),
     )
@@ -1070,27 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ci-halfwidth", type=float, default=None,
                    help="stop once the 95%% Wilson FER interval "
                         "half-width drops below this")
-    p.add_argument("--schedule",
-                   choices=("flooding", "zigzag", "quantized-zigzag",
-                            "quantized-minsum"),
-                   default="flooding",
-                   help="batched decoder schedule (quantized-* run the "
-                        "paper's fixed-point arithmetic)")
-    p.add_argument("--wordlength", type=int, default=6,
-                   help="fixed-point word width incl. sign for the "
-                        "quantized-* schedules (paper: 6)")
-    p.add_argument("--frac-bits", type=int, default=None,
-                   help="fractional bits of the fixed-point format "
-                        "(default: the paper's 2 for 6-bit, 1 for 5-bit)")
-    p.add_argument("--channel-scale", type=float, default=1.0,
-                   help="LLR input scaling before quantization "
-                        "(hardware input conditioning; 0.5 keeps 2 dB "
-                        "LLRs inside the 6-bit range)")
-    p.add_argument("--backend", default=None,
-                   help="array backend for the quantized-* schedules: "
-                        "numpy (default, the reference) or cnative "
-                        "(compiled C kernels; see 'repro backends'); "
-                        "results are bit-identical across backends")
+    add_decoder_flags(p)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write a JSONL trace with per-iteration "
                         "convergence records ('-' for stdout)")
@@ -1147,17 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(paper Sec. 2.2's saved iterations)")
         p.add_argument("--shed-start", type=float, default=0.5,
                        help="queue fill fraction where shedding begins")
-        p.add_argument("--schedule",
-                       choices=("flooding", "zigzag", "quantized-zigzag",
-                                "quantized-minsum"),
-                       default="quantized-zigzag")
-        p.add_argument("--wordlength", type=int, default=6)
-        p.add_argument("--frac-bits", type=int, default=None)
-        p.add_argument("--channel-scale", type=float, default=1.0)
-        p.add_argument("--backend", default=None,
-                       help="array backend for the quantized-* "
-                            "schedules: numpy (default) or cnative "
-                            "(see 'repro backends')")
+        add_decoder_flags(p)
         p.add_argument("--workers", type=int, default=1,
                        help="decode batches on a persistent process "
                             "pool (order stays deterministic)")
@@ -1462,8 +1467,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Operator-input problems (missing/empty/corrupt telemetry files)
-    surface as one-line errors with exit code 2, not tracebacks.
+    Operator-input problems (missing/empty/corrupt telemetry files, a
+    decoder recipe :class:`~repro.decode.DecoderSpec` rejects) surface
+    as one-line errors with exit code 2, not tracebacks.
     """
     from .obs.export import TraceReadError
 
@@ -1471,7 +1477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TraceReadError as exc:
+    except (TraceReadError, _FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

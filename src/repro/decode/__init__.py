@@ -2,7 +2,12 @@
 fixed-point implementations."""
 
 from .backend import available_backends, backend_status, resolve_backend
-from .batch import BatchDecodeResult, BatchMinSumDecoder, BatchZigzagDecoder
+from .batch import (
+    BatchDecodeResult,
+    BatchMinSumDecoder,
+    BatchZigzagDecoder,
+    DecoderSpec,
+)
 from .batch_quantized import (
     BatchQuantizedMinSumDecoder,
     BatchQuantizedZigzagDecoder,
@@ -28,6 +33,7 @@ __all__ = [
     "BeliefPropagationDecoder",
     "BitFlippingDecoder",
     "DecodeResult",
+    "DecoderSpec",
     "GallagerBDecoder",
     "LayeredMinSumDecoder",
     "MinSumDecoder",

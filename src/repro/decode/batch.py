@@ -17,13 +17,13 @@ Two schedules are available:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
 
 from ..codes.construction import LdpcCode
-from ..quantize.fixed_point import MESSAGE_6BIT
+from ..quantize.fixed_point import MESSAGE_6BIT, FixedPointFormat
 from .backend import check_backend_name
 from .messages import phi
 from .zigzag import DEFAULT_MAX_ITERATIONS, _NEUTRAL_MAG, resolve_segments
@@ -592,99 +592,135 @@ BATCH_SCHEDULES = (
 )
 
 
-def check_decoder_params(
-    schedule: str, normalization: float, fmt, channel_scale: float, backend
-) -> None:
-    """Reject a decoder recipe that no code can make valid.
+@dataclass(frozen=True)
+class DecoderSpec:
+    """One batched-decoder recipe: its fields, their only defaults and
+    their checks.
 
-    The checks :func:`make_batch_decoder` and the quantized decoders
-    make without looking at the code, in one place so a serve config
-    can run them before any worker starts: the schedule name,
-    ``normalization`` in (0, 1] for the quantized schedules, ``fmt`` /
-    ``channel_scale`` / ``backend`` only with those, and the backend
-    name (by name alone: no kernel compile).  ``segments`` depends on
-    the code: :func:`~repro.decode.zigzag.resolve_segments` checks it
-    per code.
+    The Monte-Carlo engines, the serve plane
+    (:class:`~repro.serve.api.ServeConfig` inherits these fields) and
+    the CLI all carry one spec.  The default is the decoder the serve
+    plane runs: the paper's 6-bit fixed-point zigzag schedule (§2.1-2.2,
+    Table 3) on the numpy reference backend.
+
+    ``schedule``
+        ``"flooding"`` (:class:`BatchMinSumDecoder`), ``"zigzag"``
+        (:class:`BatchZigzagDecoder`, min-sum kernel), or the
+        fixed-point ``"quantized-zigzag"`` / ``"quantized-minsum"`` of
+        :mod:`repro.decode.batch_quantized`.
+    ``normalization``
+        Check-node output scale, in (0, 1] for every schedule.
+    ``fmt``
+        The :class:`~repro.quantize.FixedPointFormat` of a quantized
+        schedule; ``None`` gives the paper's 6-bit format.  After
+        construction ``fmt`` is the effective channel format:
+        ``None`` for the float schedules (float64 LLRs).
+    ``channel_scale``
+        LLR scaling before quantization: finite and positive, and 1.0
+        on the float schedules.
+    ``segments``
+        Forward-chain segment count of the two zigzag schedules
+        (``None`` = one per functional unit of the code); the code
+        checks it (:func:`~repro.decode.zigzag.resolve_segments`).
+    ``backend``
+        ``"numpy"`` (the reference, what ``None`` gives) or
+        ``"cnative"`` (see :mod:`repro.decode.backend`), quantized
+        schedules only.  Checked by name here, for availability when a
+        decoder is built.
+
+    Construction rejects a recipe no code can make valid, so a pooled
+    service or a fabric fails before any worker starts.  Specs are
+    hashable and compare by value: worker pools key on them.
     """
-    if schedule not in BATCH_SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {schedule!r}; expected one of "
-            f"{BATCH_SCHEDULES}"
-        )
-    if not schedule.startswith("quantized"):
-        if fmt is not None or channel_scale != 1.0 or backend is not None:
+
+    schedule: str = "quantized-zigzag"
+    normalization: float = 0.75
+    fmt: Optional[FixedPointFormat] = None
+    channel_scale: float = 1.0
+    segments: Optional[int] = None
+    backend: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.schedule not in BATCH_SCHEDULES:
+            raise ValueError(
+                f"unknown schedule {self.schedule!r}; expected one of "
+                f"{BATCH_SCHEDULES}"
+            )
+        if not 0.0 < self.normalization <= 1.0:
+            raise ValueError("normalization must be in (0, 1]")
+        if not 0.0 < self.channel_scale < np.inf:
+            raise ValueError("channel_scale must be finite and positive")
+        if self.segments is not None and not self.schedule.endswith(
+            "zigzag"
+        ):
+            raise ValueError("segments apply only to the zigzag schedules")
+        if self.quantized:
+            if self.fmt is None:
+                object.__setattr__(self, "fmt", MESSAGE_6BIT)
+            object.__setattr__(
+                self, "backend", check_backend_name(self.backend)
+            )
+        elif (
+            self.fmt is not None
+            or self.channel_scale != 1.0
+            or self.backend is not None
+        ):
             raise ValueError(
                 "fmt/channel_scale/backend apply only to the quantized-* "
                 "schedules"
             )
-        return
-    if not 0.0 < normalization <= 1.0:
-        raise ValueError("normalization must be in (0, 1]")
-    check_backend_name(backend)
 
+    @property
+    def quantized(self) -> bool:
+        """True for the fixed-point schedules (their frames are
+        integers in :attr:`fmt`)."""
+        return self.schedule.startswith("quantized")
 
-def channel_format(schedule: str, fmt=None):
-    """The fixed-point format a schedule's batched decoder reads its
-    channel in: ``fmt``, or the paper's 6-bit default, for the
-    quantized schedules; ``None`` for the float schedules (float64
-    LLRs)."""
-    if not schedule.startswith("quantized"):
-        return None
-    return MESSAGE_6BIT if fmt is None else fmt
+    @property
+    def decoder_spec(self) -> "DecoderSpec":
+        """The recipe alone, as a plain :class:`DecoderSpec` (what a
+        subclass such as ``ServeConfig`` hands its workers)."""
+        return DecoderSpec(
+            **{f.name: getattr(self, f.name) for f in fields(DecoderSpec)}
+        )
 
-
-def make_batch_decoder(
-    code: LdpcCode,
-    schedule: str = "flooding",
-    normalization: float = 0.75,
-    segments: Optional[int] = None,
-    fmt=None,
-    channel_scale: float = 1.0,
-    backend=None,
-):
-    """Build a batched decoder for a schedule name.
-
-    ``"flooding"`` gives the two-phase :class:`BatchMinSumDecoder`;
-    ``"zigzag"`` the paper-schedule :class:`BatchZigzagDecoder` (min-sum
-    kernel); ``"quantized-zigzag"`` / ``"quantized-minsum"`` the
-    fixed-point decoders of :mod:`repro.decode.batch_quantized` (6-bit
-    messages by default — the arithmetic behind the paper's Table 3).
-    All four expose the same ``decode_batch`` interface.
-
-    ``fmt`` (a :class:`~repro.quantize.fixed_point.FixedPointFormat`),
-    ``channel_scale`` and ``backend`` (``"numpy"`` or ``"cnative"`` —
-    see :mod:`repro.decode.backend`) configure the quantized schedules
-    only; passing any of them with a float schedule is an error.
-    """
-    check_decoder_params(schedule, normalization, fmt, channel_scale, backend)
-    if schedule in ("quantized-zigzag", "quantized-minsum"):
+    def build(self, code: LdpcCode):
+        """The batched decoder for ``code``; all four schedules expose
+        the same ``decode_batch`` interface."""
+        if self.schedule == "flooding":
+            return BatchMinSumDecoder(code, normalization=self.normalization)
+        if self.schedule == "zigzag":
+            return BatchZigzagDecoder(
+                code,
+                "minsum",
+                normalization=self.normalization,
+                segments=self.segments,
+            )
         from .batch_quantized import (
             BatchQuantizedMinSumDecoder,
             BatchQuantizedZigzagDecoder,
         )
 
-        fmt = channel_format(schedule, fmt)
-        if schedule == "quantized-zigzag":
-            return BatchQuantizedZigzagDecoder(
+        if self.schedule == "quantized-minsum":
+            return BatchQuantizedMinSumDecoder(
                 code,
-                fmt=fmt,
-                normalization=normalization,
-                channel_scale=channel_scale,
-                segments=segments,
-                backend=backend,
+                fmt=self.fmt,
+                normalization=self.normalization,
+                channel_scale=self.channel_scale,
+                backend=self.backend,
             )
-        return BatchQuantizedMinSumDecoder(
+        return BatchQuantizedZigzagDecoder(
             code,
-            fmt=fmt,
-            normalization=normalization,
-            channel_scale=channel_scale,
-            backend=backend,
+            fmt=self.fmt,
+            normalization=self.normalization,
+            channel_scale=self.channel_scale,
+            segments=self.segments,
+            backend=self.backend,
         )
-    if schedule == "flooding":
-        return BatchMinSumDecoder(code, normalization=normalization)
-    return BatchZigzagDecoder(
-        code,
-        "minsum",
-        normalization=normalization,
-        segments=segments,
-    )
+
+
+def make_batch_decoder(code: LdpcCode, **recipe):
+    """``DecoderSpec(**recipe).build(code)``: the batched decoder for a
+    recipe given as keywords (see :class:`DecoderSpec` for the fields
+    and their defaults)."""
+    return DecoderSpec(**recipe).build(code)

@@ -49,10 +49,10 @@ from . import _cnative
 from .backend import resolve_backend
 from .batch import (
     BatchDecodeResult,
+    DecoderSpec,
     _batch_syndromes_ok,
     _batch_unsatisfied_counts,
     _normalize_iteration_budgets,
-    check_decoder_params,
 )
 from .zigzag import resolve_segments
 
@@ -167,8 +167,8 @@ class _QuantizedBatchBase:
         channel_scale: float,
         backend=None,
     ) -> None:
-        check_decoder_params(
-            self.schedule, normalization, fmt, channel_scale, backend
+        DecoderSpec(
+            self.schedule, normalization, fmt, channel_scale, backend=backend
         )
         self.code = code
         self.fmt = fmt
@@ -258,7 +258,7 @@ class BatchQuantizedMinSumDecoder(_QuantizedBatchBase):
     It runs its numpy loop on either backend.
     """
 
-    #: Schedule name (see :func:`repro.decode.batch.make_batch_decoder`).
+    #: Schedule name (see :class:`repro.decode.batch.DecoderSpec`).
     schedule = "quantized-minsum"
 
     def __init__(
@@ -480,7 +480,7 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
     loop, which is the reference.
     """
 
-    #: Schedule name (see :func:`repro.decode.batch.make_batch_decoder`).
+    #: Schedule name (see :class:`repro.decode.batch.DecoderSpec`).
     schedule = "quantized-zigzag"
 
     def __init__(

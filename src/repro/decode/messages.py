@@ -47,13 +47,6 @@ def segment_mins(values_sorted: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(values_sorted, ptr[:-1])
 
 
-def expand_to_edges(
-    per_segment: np.ndarray, segment_of_edge: np.ndarray
-) -> np.ndarray:
-    """Broadcast per-segment values back onto edges."""
-    return per_segment[segment_of_edge]
-
-
 def exclusive_segment_sums(
     values: np.ndarray,
     order: np.ndarray,

@@ -114,13 +114,6 @@ class Timer:
         """Duration of the most recent span, in seconds."""
         return self.last_ns / 1e9
 
-    @property
-    def mean_ns(self) -> float:
-        """Mean span duration (NaN before the first record)."""
-        if self.count == 0:
-            return float("nan")
-        return self.total_ns / self.count
-
 
 class Histogram:
     """Fixed-bucket histogram.

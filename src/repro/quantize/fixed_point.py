@@ -84,8 +84,10 @@ class FixedPointFormat:
         values = np.asarray(values, dtype=np.float64)
         check_finite(values)
         # One float64 buffer, rounded and clipped in place; the caller's
-        # array is never written.
-        scaled = values / self.scale
+        # array is never written.  A finite value too large to scale
+        # becomes inf and saturates in the clip, so overflow is silent.
+        with np.errstate(over="ignore"):
+            scaled = values / self.scale
         np.round(scaled, out=scaled)
         np.clip(scaled, self.min_int, self.max_int, out=scaled)
         return scaled.astype(np.int32)
@@ -148,18 +150,20 @@ def quantize_llrs(
     in the integers the decoder reads from the moment it is admitted.
 
     Finiteness is tested on the input: a finite LLR too large to scale
-    (1e308) saturates like any strong LLR, only NaN and infinity raise.
+    (1e308) saturates like any strong LLR, without an overflow warning;
+    only NaN and infinity raise.
     Multiplying by ``2**frac_bits`` gives the same double as
     ``fmt.quantize``'s division by ``fmt.scale`` (a power of two),
     overflow included, and rounding is half to even in both.
     """
     values = np.asarray(llrs, dtype=np.float64)
     check_finite(values)
-    if channel_scale != 1.0:
-        scaled = values * channel_scale
-        scaled *= 2.0 ** fmt.frac_bits
-    else:
-        scaled = values * 2.0 ** fmt.frac_bits
+    with np.errstate(over="ignore"):  # inf saturates in the clip
+        if channel_scale != 1.0:
+            scaled = values * channel_scale
+            scaled *= 2.0 ** fmt.frac_bits
+        else:
+            scaled = values * 2.0 ** fmt.frac_bits
     np.rint(scaled, out=scaled)
     np.clip(scaled, fmt.min_int, fmt.max_int, out=scaled)
     return scaled.astype(fmt.int_dtype)

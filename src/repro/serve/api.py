@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..decode.batch import check_decoder_params
+from ..decode.batch import DecoderSpec
 
 # -- request lifecycle states ------------------------------------------
 #: Decoded; ``bits``/``converged``/``iterations`` are populated.
@@ -42,8 +42,8 @@ REASON_WORKER_CRASH = "worker_crash"
 REASON_DECODE_ERROR = "decode_error"
 
 
-@dataclass
-class ServeConfig:
+@dataclass(frozen=True)
+class ServeConfig(DecoderSpec):
     """All serving knobs in one place.
 
     Batching
@@ -67,19 +67,20 @@ class ServeConfig:
 
     Decoder
     -------
-    ``schedule`` / ``normalization`` / ``fmt`` / ``channel_scale`` /
-    ``segments`` / ``backend`` are forwarded to
-    :func:`repro.decode.batch.make_batch_decoder`; the default is the
-    paper's 6-bit fixed-point zigzag path (``backend="cnative"`` decodes
-    each batch in one compiled call — see :mod:`repro.decode.backend`;
-    results are bit-identical across backends).  For the quantized
-    schedules ``fmt`` and ``channel_scale`` also reach admission, which
-    quantizes each frame once with them.  Construction rejects
-    a recipe no code can make valid
-    (:func:`repro.decode.batch.check_decoder_params`), so a pooled
-    service fails here rather than in its workers; ``segments``, which
-    depends on the code, is checked when a route is registered, also
-    before any worker starts.
+    The decoder recipe is the inherited
+    :class:`~repro.decode.batch.DecoderSpec` fields (``schedule``,
+    ``normalization``, ``fmt``, ``channel_scale``, ``segments``,
+    ``backend``) with the spec's defaults: the paper's 6-bit
+    fixed-point zigzag path (``backend="cnative"`` decodes each batch
+    in one compiled call — see :mod:`repro.decode.backend`; results are
+    bit-identical across backends).  For the quantized schedules
+    ``fmt`` and ``channel_scale`` also reach admission, which quantizes
+    each frame once with them.  Construction rejects a recipe no code
+    can make valid, so a pooled service fails here rather than in its
+    workers; ``segments``, which depends on the code, is checked when a
+    route is registered, also before any worker starts.  Workers and
+    pool keys see only :attr:`decoder_spec`, so two services that
+    differ only in batching share a supplied pool.
     ``workers > 1`` decodes batches on a persistent process pool (batch
     order deterministic).
 
@@ -108,18 +109,13 @@ class ServeConfig:
     max_iterations: int = 30
     min_iterations: int = 10
     shed_start: float = 0.5
-    schedule: str = "quantized-zigzag"
-    normalization: float = 0.75
-    fmt: Optional[object] = None
-    channel_scale: float = 1.0
-    segments: Optional[int] = None
-    backend: Optional[str] = None
     workers: int = 1
     #: Max micro-batches in flight on the pooled path (``None`` = auto:
     #: 1 inline, ``2 * workers`` pooled); see *Pipelining* above.
     pipeline_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.max_batch < 1:
             raise ValueError("max_batch must be positive")
         if self.max_linger_ms < 0:
@@ -138,10 +134,6 @@ class ServeConfig:
             raise ValueError("workers must be positive")
         if self.pipeline_depth is not None and self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be positive when set")
-        check_decoder_params(
-            self.schedule, self.normalization, self.fmt,
-            self.channel_scale, self.backend,
-        )
 
     @property
     def max_linger_s(self) -> float:

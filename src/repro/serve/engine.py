@@ -79,7 +79,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..codes.construction import LdpcCode
-from ..decode.batch import channel_format, make_batch_decoder
+from ..decode.batch import DecoderSpec
 from ..decode.zigzag import resolve_segments
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.trace import TraceRecorder
@@ -126,8 +126,8 @@ def _finite_float64(llrs: np.ndarray) -> np.ndarray:
     return llrs
 
 
-def _admission(config: ServeConfig) -> tuple:
-    """``(admit, entry)`` for a service's schedule, picked once.
+def _admission(spec: DecoderSpec) -> tuple:
+    """``(admit, entry)`` for a decoder recipe, picked once.
 
     ``admit`` turns one float64 frame into what its queue holds and
     ``entry`` names the decoder method that takes a stacked batch of
@@ -136,11 +136,10 @@ def _admission(config: ServeConfig) -> tuple:
     float ones.  ``admit`` raises ``ValueError`` on a NaN or infinite
     LLR.
     """
-    fmt = channel_format(config.schedule, config.fmt)
-    if fmt is None:
+    if not spec.quantized:
         return _finite_float64, "decode_batch"
     admit = partial(
-        quantize_llrs, fmt=fmt, channel_scale=config.channel_scale
+        quantize_llrs, fmt=spec.fmt, channel_scale=spec.channel_scale
     )
     return admit, "decode_quantized_batch"
 
@@ -150,27 +149,15 @@ def _admission(config: ServeConfig) -> tuple:
 _WORKER: dict = {}
 
 
-def _decoder_params(config: ServeConfig) -> dict:
-    return {
-        "schedule": config.schedule,
-        "normalization": config.normalization,
-        "segments": config.segments,
-        "fmt": config.fmt,
-        "channel_scale": config.channel_scale,
-        "backend": config.backend,
-    }
-
-
-def _init_worker(routes: dict, params: dict, entry: str) -> None:
-    """Pool initializer: build a decoder for every route known when
-    the worker starts (``routes`` is inherited through ``fork``);
+def _init_worker(routes: dict, spec: DecoderSpec, entry: str) -> None:
+    """Pool initializer: build ``spec``'s decoder for every route known
+    when the worker starts (``routes`` is inherited through ``fork``);
     ``entry`` is the decoder method batches go to (see
     :func:`_admission`)."""
-    _WORKER["params"] = params
+    _WORKER["spec"] = spec
     _WORKER["entry"] = entry
     _WORKER["decoders"] = {
-        key: make_batch_decoder(route.code, **params)
-        for key, route in routes.items()
+        key: spec.build(route.code) for key, route in routes.items()
     }
 
 
@@ -188,9 +175,7 @@ def _decode_task(key, recipe, frames: np.ndarray, budgets) -> tuple:
     decoders = _WORKER["decoders"]
     decoder = decoders.get(key)
     if decoder is None:
-        decoder = decoders[key] = make_batch_decoder(
-            recipe(), **_WORKER["params"]
-        )
+        decoder = decoders[key] = _WORKER["spec"].build(recipe())
     result = getattr(decoder, _WORKER["entry"])(
         frames, max_iterations=budgets, early_stop=True
     )
@@ -298,11 +283,13 @@ class DecodeService:
         self.controller = IterationBudgetController(
             serve.max_iterations, serve.min_iterations, serve.shed_start
         )
+        #: The decoder recipe alone: what workers build and pools key on.
+        self._spec = spec = serve.decoder_spec
         #: Per-frame budgets need a decoder that takes them.
-        self._frame_budgets_ok = serve.schedule.startswith("quantized")
+        self._frame_budgets_ok = spec.quantized
         #: What ``submit`` turns a frame into, and the decoder method
         #: a stacked batch of them goes to (see :func:`_admission`).
-        self._admit, self._entry = _admission(serve)
+        self._admit, self._entry = _admission(spec)
         self._lanes = lanes
         self._owned_pools = [
             lane.pool for lane in lanes if lane.pool is not pool
@@ -315,15 +302,12 @@ class DecodeService:
         self._routes: Dict[Optional[str], Route] = {}
         for key, route in routes.items():
             self._add_route(key, route)
-        params = _decoder_params(serve)
         key = ("serve",) + tuple(
             (k, id(r.code)) for k, r in self._routes.items()
-        ) + tuple(
-            (k, id(v) if k == "fmt" else v) for k, v in sorted(params.items())
-        )
+        ) + (spec,)
         for lane in lanes:
             lane.pool.configure(
-                _init_worker, (self._routes, params, self._entry), key=key
+                _init_worker, (self._routes, spec, self._entry), key=key
             )
         #: Max batches in flight per lane (1 on the inline path).
         self.pipeline_depth = lanes[0].window if lanes else 1
@@ -345,12 +329,10 @@ class DecodeService:
         inline path, build its decoder now.  A ``segments`` count the
         route's code cannot take raises here, before any worker builds
         a decoder."""
-        if self._serve.schedule in ("zigzag", "quantized-zigzag"):
-            resolve_segments(route.code, self._serve.segments)
+        if self._spec.segments is not None:
+            resolve_segments(route.code, self._spec.segments)
         if not self._lanes:
-            route.decoder = make_batch_decoder(
-                route.code, **_decoder_params(self._serve)
-            )
+            route.decoder = self._spec.build(route.code)
         self._routes[key] = route
         self._queues[key, None] = BoundedRequestQueue(
             self._serve.queue_capacity

@@ -41,7 +41,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from ..codes.construction import LdpcCode
 from ..obs.registry import MetricsRegistry, get_registry, merge_snapshots
@@ -167,15 +167,8 @@ class DecodeFabric(DecodeService):
         return not self._lanes
 
     # ------------------------------------------------------------------
-    # Health / chaos
+    # Chaos
     # ------------------------------------------------------------------
-    def check_health(self) -> List[bool]:
-        """Per-worker liveness, after respawning idle-and-broken workers
-        (a worker that died with a chunk in flight heals on the collect
-        path, by respawn and redrive)."""
-        self._heal()
-        return [not lane.pool.broken for lane in self._lanes]
-
     def kill_worker(self, index: int) -> int:
         """SIGKILL worker ``index``'s process (chaos testing).
 

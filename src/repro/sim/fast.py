@@ -14,7 +14,7 @@ import numpy as np
 
 from ..channel.awgn import AwgnChannel
 from ..codes.construction import LdpcCode
-from ..decode.batch import BatchMinSumDecoder, make_batch_decoder
+from ..decode.batch import DecoderSpec
 from ..obs.iteration import IterationTraceRecorder
 from .ber import BerResult
 
@@ -24,28 +24,21 @@ def fast_ber(
     ebn0_db: float,
     frames: int = 100,
     max_iterations: int = 30,
-    normalization: float = 0.75,
     seed: int = 0,
     batch_size: int = 32,
-    decoder: Optional[BatchMinSumDecoder] = None,
-    schedule: str = "flooding",
-    fmt=None,
-    channel_scale: float = 1.0,
-    backend=None,
+    decoder=None,
     iteration_trace: Optional[IterationTraceRecorder] = None,
     channel=None,
+    **recipe,
 ) -> BerResult:
     """All-zero-codeword BER measurement with batched decoding.
 
     Parameters mirror :func:`repro.sim.ber.measure_ber`; information-bit
-    errors are counted (systematic prefix).  ``schedule="zigzag"``
-    switches to the batched zigzag decoder (paper §2.2 serial schedule),
-    which converges in roughly half the iterations per frame;
-    ``"quantized-zigzag"`` / ``"quantized-minsum"`` run the fixed-point
-    decoders (``fmt`` selects the word format, 6-bit by default,
-    ``channel_scale`` the input conditioning, and ``backend`` the array
-    backend executing the hot path — see :mod:`repro.decode.backend`;
-    all three quantized-only).  Results are bit-identical across
+    errors are counted (systematic prefix).  The decoder is ``decoder``
+    when given, else the one built from ``recipe``:
+    :class:`~repro.decode.batch.DecoderSpec` keywords with the spec's
+    defaults (the paper's 6-bit fixed-point zigzag decoder); giving
+    both is a ``TypeError``.  Results are bit-identical across
     backends.
     When an ``iteration_trace`` recorder is given, each batch's
     per-iteration convergence records are emitted with globally numbered
@@ -59,14 +52,10 @@ def fast_ber(
     """
     if frames < 1:
         raise ValueError("need at least one frame")
-    dec = decoder or make_batch_decoder(
-        code,
-        schedule=schedule,
-        normalization=normalization,
-        fmt=fmt,
-        channel_scale=channel_scale,
-        backend=backend,
-    )
+    if decoder is None:
+        decoder = DecoderSpec(**recipe).build(code)
+    elif recipe:
+        raise TypeError("pass a decoder or recipe keywords, not both")
     if channel is None:
         channel = AwgnChannel(
             ebn0_db=ebn0_db, rate=float(code.profile.rate), seed=seed
@@ -80,7 +69,7 @@ def fast_ber(
         llrs = channel.llrs_all_zero(n, size=size)
         if iteration_trace is not None:
             iteration_trace.frame_offset = done
-        result = dec.decode_batch(
+        result = decoder.decode_batch(
             llrs,
             max_iterations=max_iterations,
             early_stop=True,

@@ -38,7 +38,7 @@ import numpy as np
 from ..channel.awgn import AwgnChannel
 from ..channel.factory import build_channel
 from ..codes.construction import LdpcCode
-from ..decode.batch import make_batch_decoder
+from ..decode.batch import DecoderSpec
 from ..obs.iteration import IterationTraceRecorder
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.trace import TraceRecorder
@@ -89,13 +89,6 @@ class SimTelemetry:
         if self.elapsed_s <= 0:
             return float("nan")
         return self.frames * self.coded_bits_per_frame / self.elapsed_s / 1e6
-
-    @property
-    def parallel_efficiency(self) -> float:
-        """Aggregate shard compute time over ``workers × wall`` time."""
-        if self.elapsed_s <= 0 or self.workers <= 0:
-            return float("nan")
-        return sum(self.shard_wall_s) / (self.workers * self.elapsed_s)
 
     @classmethod
     def from_registry(
@@ -163,31 +156,16 @@ class ParallelBerRun:
 _WORKER_STATE: dict = {}
 
 
-def _build_decoder(code: LdpcCode, params: dict):
-    """Construct the shard decoder from the engine's params dict."""
-    return make_batch_decoder(
-        code,
-        schedule=params["schedule"],
-        normalization=params["normalization"],
-        segments=params["segments"],
-        fmt=params.get("fmt"),
-        channel_scale=params.get("channel_scale", 1.0),
-        backend=params.get("backend"),
-    )
-
-
-def _init_worker(code: LdpcCode, params: dict) -> None:
+def _init_worker(code: LdpcCode, spec: DecoderSpec) -> None:
     """Build the worker's decoder once.
 
-    ``params`` holds the *decoder* configuration only (schedule,
-    normalization, segments, format, channel scale) — per-run knobs like
-    the Eb/N0 point or the iteration budget travel with each shard task,
-    so one initialized worker (e.g. in a :class:`PersistentPool`) serves
+    ``spec`` is the *decoder* recipe only — per-run knobs like the
+    Eb/N0 point or the iteration budget travel with each shard task, so
+    one initialized worker (e.g. in a :class:`PersistentPool`) serves
     every point of a sweep.
     """
     _WORKER_STATE["code"] = code
-    _WORKER_STATE["params"] = params
-    _WORKER_STATE["decoder"] = _build_decoder(code, params)
+    _WORKER_STATE["decoder"] = spec.build(code)
 
 
 def _decode_shard(
@@ -317,17 +295,12 @@ def parallel_ber(
     target_frame_errors: Optional[int] = None,
     ci_halfwidth: Optional[float] = None,
     max_iterations: int = 30,
-    schedule: str = "zigzag",
-    normalization: float = 0.75,
-    segments: Optional[int] = None,
-    fmt=None,
-    channel_scale: float = 1.0,
-    backend=None,
     seed=0,
     channel: Optional[dict] = None,
     registry: Optional[MetricsRegistry] = None,
     trace: Optional[TraceRecorder] = None,
     pool: Optional[PersistentPool] = None,
+    **recipe,
 ) -> ParallelBerRun:
     """Sharded, optionally multi-process BER measurement at one point.
 
@@ -345,17 +318,13 @@ def parallel_ber(
         prefix has this many frame errors, or once the Wilson 95%
         interval on the FER has at most this half-width.  Either, both,
         or neither may be given.
-    schedule:
-        ``"zigzag"`` (default, fastest), ``"flooding"``, or the
-        fixed-point paths ``"quantized-zigzag"`` / ``"quantized-minsum"``
-        (paper Table 3 arithmetic; bit-identical to the single-frame
-        golden models for every frame).
-    fmt, channel_scale, backend:
-        Fixed-point word format (6-bit messages by default), channel
-        input conditioning, and the array backend name executing the
-        decoder hot path (see :mod:`repro.decode.backend`) — all three
-        forwarded to the quantized schedules only.  Results are
-        bit-identical across backends.
+    recipe:
+        The decoder as :class:`~repro.decode.batch.DecoderSpec`
+        keywords (``schedule``, ``normalization``, ``fmt``,
+        ``channel_scale``, ``segments``, ``backend``), defaulting to
+        the spec's: the paper's 6-bit fixed-point zigzag decoder.  The
+        quantized schedules are bit-identical to the single-frame
+        golden models for every frame, on every backend.
     seed:
         Base seed; shard ``i`` uses child ``i`` of
         ``np.random.SeedSequence(seed)`` regardless of worker count.
@@ -383,10 +352,10 @@ def parallel_ber(
     pool:
         A :class:`~repro.sim.pool.PersistentPool` to run shards on.  The
         pool's worker count overrides ``workers``, and its processes
-        (with their already-built decoders) are reused across calls that
-        share the decoder configuration — a sweep over Eb/N0 points pays
-        process spin-up once.  Results are bit-identical with or without
-        a pool for any worker count.
+        (with their already-built decoders) are reused across calls on
+        the same code object with an equal recipe — a sweep over Eb/N0
+        points pays process spin-up once.  Results are bit-identical
+        with or without a pool for any worker count.
     """
     if max_frames < 1:
         raise ValueError("need at least one frame")
@@ -394,23 +363,17 @@ def parallel_ber(
         raise ValueError("shard_frames must be positive")
     workers = pool.workers if pool is not None else resolve_workers(workers)
 
-    decoder_params = {
-        "schedule": schedule,
-        "normalization": float(normalization),
-        "segments": segments,
-        "fmt": fmt,
-        "channel_scale": float(channel_scale),
-        "backend": backend,
-    }
+    spec = DecoderSpec(**recipe)
     run_params = {
         "ebn0_db": float(ebn0_db),
         "max_iterations": int(max_iterations),
         "trace_iterations": trace is not None,
         "channel": dict(channel) if channel is not None else None,
     }
-    # Validate the schedule/segments/format combination up front,
-    # in-process.
-    _build_decoder(code, decoder_params)
+    # Build the decoder up front, in-process: a recipe this code cannot
+    # take (segments, an unavailable backend) fails here, and the
+    # serial loop decodes with it.
+    decoder = spec.build(code)
     if channel is not None:
         # Same for the channel spec: fail fast on bad axes here rather
         # than inside a worker process.
@@ -437,15 +400,17 @@ def parallel_ber(
     with run_reg.timer("sim.parallel.wall"):
         if workers == 1:
             merged, discarded = _serial_loop(
-                code, decoder_params, run_params, sizes, children,
+                code, decoder, run_params, sizes, children,
                 target_frame_errors, ci_halfwidth,
             )
         else:
             if pool is not None:
+                # The pool keeps ``initargs`` alive, so ``id(code)``
+                # stays unambiguous; the spec compares by value.
                 pool.configure(
                     _init_worker,
-                    (code, decoder_params),
-                    key=_pool_key(code, decoder_params),
+                    (code, spec),
+                    key=("sim.parallel", id(code), spec),
                 )
                 executor = pool._require_executor()
                 merged, discarded = _parallel_loop(
@@ -457,7 +422,7 @@ def parallel_ber(
                     max_workers=workers,
                     mp_context=mp_context,
                     initializer=_init_worker,
-                    initargs=(code, decoder_params),
+                    initargs=(code, spec),
                 ) as executor:
                     merged, discarded = _parallel_loop(
                         executor, run_params, sizes, children,
@@ -522,27 +487,9 @@ def _write_trace(
     )
 
 
-def _pool_key(code: LdpcCode, decoder_params: dict):
-    """Configuration key for :class:`PersistentPool` reuse.
-
-    Identity of the code object plus the (hashable) decoder knobs; the
-    pool keeps ``initargs`` alive, so the ``id`` stays unambiguous.
-    """
-    return (
-        "sim.parallel",
-        id(code),
-        decoder_params["schedule"],
-        decoder_params["normalization"],
-        decoder_params["segments"],
-        id(decoder_params["fmt"]),
-        decoder_params["channel_scale"],
-        decoder_params["backend"],
-    )
-
-
 def _serial_loop(
     code: LdpcCode,
-    decoder_params: dict,
+    decoder,
     run_params: dict,
     sizes: Sequence[int],
     children: Sequence[np.random.SeedSequence],
@@ -550,7 +497,6 @@ def _serial_loop(
     ci_halfwidth: Optional[float],
 ):
     """The ``workers=1`` special case: same shards, same order, no pool."""
-    decoder = _build_decoder(code, decoder_params)
     merged: List[ShardResult] = []
     frames = frame_errors = 0
     for shard, (n_frames, seed_seq) in enumerate(zip(sizes, children)):

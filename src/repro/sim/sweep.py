@@ -58,13 +58,10 @@ def parallel_snr_sweep(
     shard_frames: Optional[int] = None,
     target_frame_errors: Optional[int] = None,
     ci_halfwidth: Optional[float] = None,
-    schedule: str = "zigzag",
-    normalization: float = 0.75,
-    fmt=None,
-    channel_scale: float = 1.0,
     channel: Optional[dict] = None,
     registry=None,
     trace=None,
+    **recipe,
 ) -> List[SweepPoint]:
     """Waterfall curve measured with the parallel Monte-Carlo engine.
 
@@ -72,9 +69,9 @@ def parallel_snr_sweep(
     with a point-specific base seed derived from ``(seed, point index)``
     via ``SeedSequence``, so the whole sweep is reproducible for any
     worker count and each point's noise is independent.  Engine
-    telemetry is attached to each :class:`SweepPoint`.  ``fmt`` and
-    ``channel_scale`` configure the ``quantized-*`` schedules (see
-    :func:`~repro.sim.parallel.parallel_ber`).  ``registry`` and
+    telemetry is attached to each :class:`SweepPoint`.  ``recipe`` is
+    the decoder as :class:`~repro.decode.batch.DecoderSpec` keywords,
+    forwarded to every point.  ``registry`` and
     ``trace`` are forwarded to every point's engine run (one shared
     recorder: each point contributes its frames' iteration records and a
     ``ber_result`` event).  ``channel`` is a
@@ -97,14 +94,11 @@ def parallel_snr_sweep(
             target_frame_errors=target_frame_errors,
             ci_halfwidth=ci_halfwidth,
             max_iterations=max_iterations,
-            schedule=schedule,
-            normalization=normalization,
-            fmt=fmt,
-            channel_scale=channel_scale,
             channel=channel,
             seed=np.random.SeedSequence(entropy=(seed, index)),
             registry=registry,
             trace=trace,
+            **recipe,
         )
         points.append(
             SweepPoint(

@@ -161,6 +161,18 @@ def test_table_selection_floor_and_top():
         ])
 
 
+def test_derived_threshold_is_pinned():
+    """Threshold derivation runs float flooding min-sum, the decoder the
+    committed table was derived with; a schedule default that leaks in
+    (the served 6-bit decoder reads -2.84375 here) moves this value."""
+    from repro.acm import derive_threshold_table
+
+    table = derive_threshold_table(
+        [ModCod("1/4")], parallelism=12, frames=8, resolution_db=0.5
+    )
+    assert table.entries[0].esn0_db == -3.46875
+
+
 def test_default_table_is_sorted_and_bpsk():
     table = default_scaled_table()
     se = [e.modcod.spectral_efficiency for e in table]

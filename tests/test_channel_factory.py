@@ -159,7 +159,8 @@ def test_fast_ber_accepts_factory_channel(code_half_tiny):
         seed=47,
     )
     result = fast_ber(
-        code_half_tiny, 7.0, frames=4, max_iterations=20, channel=ch
+        code_half_tiny, 7.0, frames=4, max_iterations=20, channel=ch,
+        schedule="flooding",
     )
     assert result.frames == 4
     assert result.fer <= 1.0
@@ -184,6 +185,7 @@ def test_parallel_ber_channel_spec_worker_invariant(code_half_tiny):
             workers=w,
             seed=51,
             channel=spec,
+            schedule="zigzag",
         )
         for w in (1, 2)
     ]

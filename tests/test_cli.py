@@ -136,11 +136,53 @@ def test_ber_worker_count_and_telemetry_keep_the_answer(capsys, tmp_path):
 def test_ber_channel_scale_requires_quantized(capsys):
     code = main([
         "ber", "--rate", "1/2", "--ebn0", "3.0", "--frames", "2",
-        "--parallelism", "12", "--channel-scale", "0.5",
+        "--parallelism", "12", "--schedule", "flooding",
+        "--channel-scale", "0.5",
     ])
     err = capsys.readouterr().err
     assert code == 2
     assert "quantized" in err
+
+
+def test_decoder_flags_are_one_group_with_the_spec_defaults():
+    """``ber`` and the serve commands expose the same decoder flags,
+    whose defaults build :class:`DecoderSpec`'s own recipe."""
+    from repro.cli import _decoder_spec
+    from repro.decode import DecoderSpec
+
+    flags = ("schedule", "wordlength", "frac_bits", "channel_scale",
+             "backend")
+    seen = []
+    for argv in (["ber"], ["serve", "-"], ["loadgen"], ["fabric"]):
+        args = build_parser().parse_args(argv)
+        seen.append({flag: getattr(args, flag) for flag in flags})
+        assert _decoder_spec(args) == DecoderSpec()
+    assert all(values == seen[0] for values in seen)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--frac-bits", "6"],
+        ["--schedule", "quantized-zigzag", "--channel-scale", "0"],
+        ["--schedule", "flooding", "--wordlength", "5"],
+    ],
+    ids=["frac-bits", "channel-scale", "float-fmt"],
+)
+@pytest.mark.parametrize("command", ["ber", "serve", "loadgen", "fabric"])
+def test_bad_recipe_is_one_error_line(capsys, command, bad):
+    """Every command with the decoder flags rejects a recipe the spec
+    rejects with one line and exit code 2, before doing any work."""
+    extra = {
+        "ber": ["--frames", "2"],
+        "serve": ["no-such-input"],
+        "loadgen": ["--duration", "0.05", "--offered-fps", "5"],
+        "fabric": ["--duration", "0.1"],
+    }[command]
+    code = main([command, "--parallelism", "12", *extra, *bad])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_anneal_small(capsys):

@@ -7,7 +7,9 @@ from repro.sim import fast_ber, measure_ber
 
 
 def test_fast_ber_counts(code_half):
-    result = fast_ber(code_half, ebn0_db=3.0, frames=10, seed=1)
+    result = fast_ber(
+        code_half, ebn0_db=3.0, frames=10, seed=1, schedule="flooding"
+    )
     assert result.frames == 10
     assert result.total_bits == 10 * code_half.k
     assert result.bit_errors == 0
@@ -15,7 +17,9 @@ def test_fast_ber_counts(code_half):
 
 
 def test_fast_ber_sees_errors_at_low_snr(code_half):
-    result = fast_ber(code_half, ebn0_db=-1.0, frames=4, seed=1)
+    result = fast_ber(
+        code_half, ebn0_db=-1.0, frames=4, seed=1, schedule="flooding"
+    )
     assert result.frame_errors == 4
     assert result.ber > 0.01
 
@@ -23,8 +27,9 @@ def test_fast_ber_sees_errors_at_low_snr(code_half):
 def test_fast_ber_batching_invariance(code_half):
     """Splitting into different batch sizes must not change counts
     (the channel stream is consumed identically)."""
-    a = fast_ber(code_half, ebn0_db=1.6, frames=9, seed=7, batch_size=3)
-    b = fast_ber(code_half, ebn0_db=1.6, frames=9, seed=7, batch_size=9)
+    kwargs = dict(ebn0_db=1.6, frames=9, seed=7, schedule="flooding")
+    a = fast_ber(code_half, batch_size=3, **kwargs)
+    b = fast_ber(code_half, batch_size=9, **kwargs)
     assert a.bit_errors == b.bit_errors
     assert a.frame_errors == b.frame_errors
 
@@ -41,7 +46,8 @@ def test_fast_ber_agrees_with_generic_harness(code_half):
         seed=3,
     )
     fast = fast_ber(
-        code_half, ebn0_db=1.6, frames=6, max_iterations=25, seed=3
+        code_half, ebn0_db=1.6, frames=6, max_iterations=25, seed=3,
+        schedule="flooding",
     )
     assert fast.bit_errors == generic.bit_errors
     assert fast.frame_errors == generic.frame_errors
@@ -52,11 +58,14 @@ def test_fast_ber_accepts_prebuilt_decoder(code_half):
     dec = BatchMinSumDecoder(code_half, normalization=0.8)
     result = fast_ber(code_half, ebn0_db=3.0, frames=3, decoder=dec)
     assert result.frames == 3
+    with pytest.raises(TypeError, match="not both"):
+        fast_ber(code_half, ebn0_db=3.0, frames=3, decoder=dec,
+                 schedule="zigzag")
 
 
 def test_fast_ber_validates_frames(code_half):
     with pytest.raises(ValueError, match="at least one"):
-        fast_ber(code_half, ebn0_db=1.0, frames=0)
+        fast_ber(code_half, ebn0_db=1.0, frames=0, schedule="flooding")
 
 
 def test_fast_ber_zigzag_schedule_matches_single_frame_harness(code_half):

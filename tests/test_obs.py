@@ -254,11 +254,11 @@ def test_frame_offset_globalizes_batch_indices(code_half_tiny):
 def test_parallel_metrics_merge_two_workers(code_half_tiny):
     serial = parallel_ber(
         code_half_tiny, 1.5, max_frames=8, shard_frames=4,
-        workers=1, max_iterations=8,
+        workers=1, max_iterations=8, schedule="zigzag",
     )
     duo = parallel_ber(
         code_half_tiny, 1.5, max_frames=8, shard_frames=4,
-        workers=2, max_iterations=8,
+        workers=2, max_iterations=8, schedule="zigzag",
     )
     assert serial.result == duo.result
     for run in (serial, duo):
@@ -275,7 +275,7 @@ def test_parallel_trace_covers_every_frame(code_half_tiny):
     rec = TraceRecorder(None)
     run = parallel_ber(
         code_half_tiny, 1.5, max_frames=6, shard_frames=4,
-        workers=1, max_iterations=8, trace=rec,
+        workers=1, max_iterations=8, trace=rec, schedule="zigzag",
     )
     events = rec.events
     frames = {
@@ -289,7 +289,7 @@ def test_parallel_trace_covers_every_frame(code_half_tiny):
 def test_telemetry_from_registry_matches_run(code_half_tiny):
     run = parallel_ber(
         code_half_tiny, 2.0, max_frames=4, shard_frames=4,
-        workers=1, max_iterations=8,
+        workers=1, max_iterations=8, schedule="zigzag",
     )
     t = run.telemetry
     assert t.frames == run.result.frames

@@ -20,7 +20,8 @@ from repro.sim import (
 
 def _run(code, **kwargs):
     defaults = dict(
-        max_frames=48, shard_frames=16, seed=11, max_iterations=15
+        max_frames=48, shard_frames=16, seed=11, max_iterations=15,
+        schedule="zigzag",
     )
     defaults.update(kwargs)
     return parallel_ber(code, 1.2, **defaults)
@@ -45,10 +46,12 @@ def test_adaptive_stop_deterministic_across_workers(code_half_tiny):
     serial = parallel_ber(
         code_half_tiny, 0.4, max_frames=192, shard_frames=16,
         workers=1, seed=11, target_frame_errors=6, max_iterations=15,
+        schedule="zigzag",
     )
     quad = parallel_ber(
         code_half_tiny, 0.4, max_frames=192, shard_frames=16,
         workers=4, seed=11, target_frame_errors=6, max_iterations=15,
+        schedule="zigzag",
     )
     assert serial.result == quad.result
     assert serial.result.frame_errors >= 6
@@ -59,6 +62,7 @@ def test_ci_halfwidth_stops_early(code_half_tiny):
     run = parallel_ber(
         code_half_tiny, 0.0, max_frames=512, shard_frames=16,
         workers=1, seed=3, ci_halfwidth=0.10, max_iterations=10,
+        schedule="zigzag",
     )
     # At 0 dB everything fails, so the Wilson interval tightens fast.
     assert run.result.frames < 512
@@ -79,7 +83,7 @@ def test_matches_serial_fast_ber_with_flooding(code_half_tiny):
     )
     reference = fast_ber(
         code_half_tiny, 1.2, frames=32, batch_size=32,
-        max_iterations=15, seed=child,
+        max_iterations=15, seed=child, schedule="flooding",
     )
     assert run.result.bit_errors == reference.bit_errors
     assert run.result.frame_errors == reference.frame_errors
@@ -146,7 +150,7 @@ def test_ber_result_nan_guards():
 def test_parallel_snr_sweep(code_half_tiny):
     points = parallel_snr_sweep(
         code_half_tiny, [1.0, 2.0], max_frames=16, workers=1,
-        max_iterations=10, seed=4,
+        max_iterations=10, seed=4, schedule="zigzag",
     )
     assert [p.value for p in points] == [1.0, 2.0]
     for p in points:
@@ -155,7 +159,7 @@ def test_parallel_snr_sweep(code_half_tiny):
     # Point seeds derive from (seed, index): distinct noise per point.
     repeat = parallel_snr_sweep(
         code_half_tiny, [1.0, 2.0], max_frames=16, workers=1,
-        max_iterations=10, seed=4,
+        max_iterations=10, seed=4, schedule="zigzag",
     )
     assert repeat[0].result == points[0].result
     assert repeat[1].result == points[1].result

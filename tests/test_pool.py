@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceRecorder
+from repro.quantize import FixedPointFormat
 from repro.sim import PersistentPool, parallel_ber
 
 _STATE = {}
@@ -28,7 +29,8 @@ def _tagged(x):
 
 def _run(code, **kwargs):
     defaults = dict(
-        max_frames=48, shard_frames=16, seed=11, max_iterations=15
+        max_frames=48, shard_frames=16, seed=11, max_iterations=15,
+        schedule="zigzag",
     )
     defaults.update(kwargs)
     return parallel_ber(code, 1.2, **defaults)
@@ -149,9 +151,27 @@ class TestParallelBerWithPool:
             executor = pool._executor
             b = parallel_ber(
                 code_half_tiny, 0.4, max_frames=32, shard_frames=16,
-                seed=11, max_iterations=15, pool=pool,
+                seed=11, max_iterations=15, pool=pool, schedule="zigzag",
             )
             if not pool.serial:
                 assert pool._executor is executor  # no respin mid-sweep
         assert a.result.frames == 48
         assert b.result.frames == 32
+
+    def test_equal_recipes_keep_the_warm_executor(self, code_half_tiny):
+        """Pools key on the recipe by value: two equal but distinct
+        formats are one decoder, so the workers stay warm."""
+        with PersistentPool(2) as pool:
+            if pool.serial:
+                pytest.skip("no process pool on this platform")
+            first = _run(
+                code_half_tiny, pool=pool, schedule="quantized-zigzag",
+                fmt=FixedPointFormat(6, 2),
+            )
+            executor = pool._executor
+            second = _run(
+                code_half_tiny, pool=pool, schedule="quantized-zigzag",
+                fmt=FixedPointFormat(6, 2),
+            )
+            assert pool._executor is executor
+        assert first.result == second.result

@@ -83,6 +83,27 @@ def test_matrix_runs_mc_and_serve_legs():
     assert payload["rows"][0]["spectral_efficiency"] == 0.5
 
 
+def test_matrix_monte_carlo_leg_is_pinned():
+    """The waterfall leg runs float zigzag min-sum, the decoder the
+    committed matrix was measured with; a schedule default that leaks
+    in changes these counts."""
+    matrix = run_matrix(
+        [ScenarioCell(ModCod("1/2"))],
+        ebn0_points_db=[1.0],
+        parallelism=12,
+        mc_frames=16,
+        max_iterations=20,
+        workers=1,
+        serve=False,
+        seed=4,
+    )
+    result = matrix.rows[0].points[0].result
+    assert (
+        result.frames, result.bit_errors, result.frame_errors,
+        result.total_iterations, result.converged_frames,
+    ) == (16, 905, 13, 310, 3)
+
+
 def test_matrix_serve_leg_optional():
     matrix = run_matrix(
         [ScenarioCell(ModCod("1/2"))],

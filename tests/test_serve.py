@@ -268,6 +268,20 @@ class TestDecodeService:
         assert counters["serve.requests.completed"] == 4
         assert counters["serve.requests.rejected"] == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_llr_saturates_without_warning(
+        self, code_half, frames_half
+    ):
+        """A finite LLR too large to scale (1e308) is a strong LLR:
+        admission saturates it silently and the frame decodes."""
+        svc = _service(code_half, ManualClock(), max_linger_ms=0.0)
+        llrs = frames_half.llrs[0].copy()
+        llrs[3] = 1e308
+        svc.submit(llrs)
+        svc.flush()
+        (result,) = svc.poll()
+        assert result.status == STATUS_OK
+
     def test_deadline_expiry(self, code_half, frames_half):
         clock = ManualClock()
         svc = _service(
@@ -554,6 +568,28 @@ class TestPooledService:
         for mine, ref in zip(got, expected):
             np.testing.assert_array_equal(mine.bits, ref.bits)
             assert mine.iterations == ref.iterations
+
+    def test_equal_recipes_share_a_supplied_pool(self, code_half_tiny):
+        """Two services whose recipes are equal but distinct objects
+        keep the supplied pool's warm workers."""
+        from repro.sim import PersistentPool
+
+        with PersistentPool(2) as pool:
+            if pool.serial:
+                pytest.skip("no process pool on this platform")
+            executors = []
+            for max_batch in (4, 8):
+                config = ServeConfig(
+                    fmt=FixedPointFormat(6, 2), workers=2,
+                    max_batch=max_batch,
+                )
+                with DecodeService(
+                    code_half_tiny, config, registry=MetricsRegistry(),
+                    pool=pool,
+                ):
+                    executors.append(pool._executor)
+            assert executors[0] is not None
+            assert executors[1] is executors[0]
 
     def test_non_finite_frame_never_reaches_a_worker(
         self, code_half, frames_half
