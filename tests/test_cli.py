@@ -40,6 +40,32 @@ def test_backends_says_where_the_kernel_came_from(
     )
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "getuid") or "cnative" not in available_backends(),
+    reason="needs a C compiler and the per-user kernel cache",
+)
+@pytest.mark.parametrize("build", ["native", "portable"])
+def test_backends_names_the_build(capsys, tmp_path, monkeypatch, build):
+    """The kernel line names the build that was loaded: the native one
+    here, the portable one when the native build fails.  They differ in
+    how the check pass normalizes, and so in speed."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(_cnative, "_STATE", None)
+    monkeypatch.setattr(_cnative, "_ORIGIN", None)
+    if build == "portable":
+        monkeypatch.setattr(
+            _cnative, "NATIVE_FLAGS",
+            _cnative.NATIVE_FLAGS + ("-fno-such-compiler-option",),
+        )
+    code, out = run(capsys, "backends")
+    assert code == 0
+    name = {
+        "native": "native build (-march=native)",
+        "portable": "portable build",
+    }[build]
+    assert f", {name}, built in this process in " in out.splitlines()[-1]
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -180,6 +206,26 @@ def test_bad_recipe_is_one_error_line(capsys, command, bad):
         "fabric": ["--duration", "0.1"],
     }[command]
     code = main([command, "--parallelism", "12", *extra, *bad])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fabric", "--fabric-workers", "0"],
+        ["fabric", "--fabric-window", "0"],
+        ["fabric", "--hash-replicas", "0"],
+        ["loadgen", "--fabric-workers", "0", "--duration", "0.05"],
+    ],
+    ids=["fabric-workers", "fabric-window", "hash-replicas",
+         "loadgen-fabric-workers"],
+)
+def test_bad_fabric_setting_is_one_error_line(capsys, argv):
+    """A fabric setting FabricConfig rejects is one line and exit code
+    2, like a rejected decoder recipe, before any worker starts."""
+    code = main([*argv, "--parallelism", "12"])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
