@@ -100,7 +100,7 @@ def test_first_load_builds_then_later_loads_hit(cold, monkeypatch):
     assert lib is not None and reason is None
     assert origin == (
         f"{_entry(cache_dir, _cnative._compiler())}, "
-        "loaded from the kernel cache"
+        "native build (-march=native), loaded from the kernel cache"
     )
 
 
@@ -225,7 +225,9 @@ def test_corrupt_entry_is_rebuilt_and_decodes_like_numpy(
         fh.write(b"\x7fELF truncated")
     lib, reason, origin = _reload(monkeypatch)
     assert reason is None
-    assert origin.startswith(f"{entry}, built in this process in")
+    assert origin.startswith(
+        f"{entry}, native build (-march=native), built in this process in"
+    )
     assert os.listdir(cache_dir) == [os.path.basename(entry)]
     _assert_decodes_like_numpy(code_half_tiny)
 
