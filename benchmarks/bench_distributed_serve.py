@@ -10,7 +10,7 @@ Three properties are asserted, matching the subsystem's acceptance bar:
 
 * **the fabric is invisible in the output**: with shedding neutral the
   decoded bits are identical to the single-service path for every
-  worker count and dispatch policy;
+  worker count;
 * **nothing vanishes**: merged cross-worker accounting satisfies
   ``completed + rejected + expired == submitted`` at every offered
   rate — including the run where a worker is killed mid-chunk and its
@@ -81,8 +81,8 @@ def _batched_capacity_fps(code, pool) -> float:
 
 
 def _fabric_is_bit_identical(code, pool) -> bool:
-    """Sharding must not change decode results: every worker count and
-    dispatch policy reproduces the single-service bits exactly."""
+    """Sharding must not change decode results: every worker count
+    reproduces the single-service bits exactly."""
     calm = _serve_config(
         max_batch=8, max_linger_ms=0.0, min_iterations=30
     )
@@ -94,19 +94,14 @@ def _fabric_is_bit_identical(code, pool) -> bool:
         service.flush()
         by_id = {r.request_id: r for r in service.poll()}
     expected = np.stack([by_id[i].bits for i in ids])
-    shapes = [(workers, "least-loaded") for workers in WORKER_COUNTS]
-    shapes.append((2, "hash"))
-    for workers, dispatch in shapes:
+    for workers in WORKER_COUNTS:
         with DecodeFabric(
             code,
-            FabricConfig(workers=workers, dispatch=dispatch, serve=calm),
+            FabricConfig(workers=workers, serve=calm),
             registry=MetricsRegistry(),
         ) as fabric:
             ids = [
-                fabric.submit(
-                    pool.llrs[i], now=float(i), client=f"c{i % 3}"
-                )
-                for i in range(8)
+                fabric.submit(pool.llrs[i], now=float(i)) for i in range(8)
             ]
             fabric.flush()
             by_id = {r.request_id: r for r in fabric.poll()}

@@ -484,13 +484,7 @@ def _fabric_config(args: argparse.Namespace, serve_config):
     from .serve import FabricConfig
 
     try:
-        return FabricConfig(
-            workers=args.fabric_workers,
-            dispatch=args.dispatch,
-            window=args.fabric_window,
-            hash_replicas=args.hash_replicas,
-            serve=serve_config,
-        )
+        return FabricConfig(workers=args.fabric_workers, serve=serve_config)
     except ValueError as exc:
         raise _FlagError(str(exc)) from None
 
@@ -515,8 +509,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
 
     def ready(gateway) -> None:
         print(f"fabric listening on {gateway.host}:{gateway.port} "
-              f"(workers={args.fabric_workers}, "
-              f"dispatch={args.dispatch})", flush=True)
+              f"(workers={args.fabric_workers})", flush=True)
         if args.port_file is not None:
             with open(args.port_file, "w") as handle:
                 handle.write(str(gateway.port))
@@ -577,7 +570,6 @@ def _cmd_loadgen_connect(args: argparse.Namespace) -> int:
             duration_s=args.duration,
             window=args.window,
             deadline_ms=args.deadline_ms,
-            clients=args.clients,
         )
         rows.append(row)
         fer = (
@@ -654,7 +646,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             trace=trace,
             publisher=publisher,
             fabric=fabric,
-            clients=args.clients,
         )
     finally:
         if http_server is not None:
@@ -664,8 +655,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         if trace is not None:
             trace.close()
     plane = (
-        f", fabric workers={args.fabric_workers} "
-        f"dispatch={args.dispatch}" if fabric is not None else ""
+        f", fabric workers={args.fabric_workers}"
+        if fabric is not None else ""
     )
     scenario = (
         f" ({args.modulation}/{args.channel})"
@@ -1172,10 +1163,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decode batches on a persistent process "
                             "pool (order stays deterministic)")
         p.add_argument("--pipeline-depth", type=int, default=None,
-                       help="micro-batches kept in flight on the "
-                            "pooled path (default: 2x workers; 1 = "
-                            "strictly sequential pump; results are "
-                            "bit-identical at any depth)")
+                       help="micro-batches kept in flight per worker "
+                            "lane (default: 2x workers on the pooled "
+                            "path, 2 per fabric worker; 1 = strictly "
+                            "sequential; results are bit-identical at "
+                            "any depth)")
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="write serve_batch/serve_drop JSONL events")
         p.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -1201,10 +1193,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "code; payload shrinks by the parity bits)")
     p.set_defaults(func=_cmd_serve)
 
-    def add_dispatch_flags(
+    def add_fabric_flag(
         p: argparse.ArgumentParser, *, default_workers
     ) -> None:
-        """Fabric-shape flags shared by ``fabric`` and ``loadgen``."""
+        """The fabric's worker count, shared by ``fabric`` and
+        ``loadgen``; its in-flight bound per worker is
+        ``--pipeline-depth``."""
         p.add_argument("--fabric-workers", type=int,
                        default=default_workers,
                        help="decode worker processes behind the "
@@ -1212,18 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "" if default_workers else
                                 " (default: single in-process service)"
                             ))
-        p.add_argument("--dispatch",
-                       choices=("least-loaded", "round-robin", "hash"),
-                       default="least-loaded",
-                       help="chunk dispatch policy (hash pins clients "
-                            "to workers via a consistent-hash ring)")
-        p.add_argument("--fabric-window", type=int, default=2,
-                       help="in-flight chunks allowed per worker")
-        p.add_argument("--hash-replicas", type=int, default=64,
-                       help="virtual nodes per worker on the hash ring")
-        p.add_argument("--clients", type=int, default=0,
-                       help="rotate this many synthetic client "
-                            "identities (exercises hash affinity)")
 
     p = sub.add_parser(
         "fabric",
@@ -1252,7 +1234,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, metavar="SECONDS",
                    help="SIGKILL worker 0 once after this long "
                         "(crash-recovery soak probe)")
-    add_dispatch_flags(p, default_workers=2)
+    add_fabric_flag(p, default_workers=2)
     add_serve_flags(p)
     p.set_defaults(func=_cmd_fabric)
 
@@ -1289,7 +1271,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also serve live /metrics on this port "
                         "(0 picks a free port; the bound port is "
                         "printed)")
-    add_dispatch_flags(p, default_workers=None)
+    add_fabric_flag(p, default_workers=None)
     add_serve_flags(p)
     add_channel_flags(p)
     p.set_defaults(func=_cmd_loadgen)

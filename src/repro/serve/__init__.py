@@ -14,7 +14,6 @@ from .api import (
     REASON_DEADLINE,
     REASON_DECODE_ERROR,
     REASON_QUEUE_FULL,
-    REASON_SHUTDOWN,
     REASON_WORKER_CRASH,
     STATUS_EXPIRED,
     STATUS_FAILED,
@@ -26,14 +25,6 @@ from .api import (
 )
 from .batcher import MicroBatcher
 from .bytestream import ByteStreamGateway, FrameOutcome
-from .dispatch import (
-    DISPATCH_POLICIES,
-    ConsistentHashDispatch,
-    DispatchPolicy,
-    LeastLoadedDispatch,
-    RoundRobinDispatch,
-    make_dispatch,
-)
 from .engine import DecodeService
 from .fabric import DecodeFabric, FabricConfig
 from .gateway import (
@@ -58,28 +49,22 @@ from .report import ServiceReport, snapshot_percentile
 __all__ = [
     "BoundedRequestQueue",
     "ByteStreamGateway",
-    "ConsistentHashDispatch",
-    "DISPATCH_POLICIES",
     "DecodeFabric",
     "DecodeRequest",
     "DecodeResult",
     "DecodeService",
-    "DispatchPolicy",
     "FabricClient",
     "FabricConfig",
     "FabricGateway",
     "FrameOutcome",
     "FramePool",
     "IterationBudgetController",
-    "LeastLoadedDispatch",
     "LoadgenResult",
     "MicroBatcher",
-    "RoundRobinDispatch",
     "REASON_BAD_FRAME",
     "REASON_DEADLINE",
     "REASON_DECODE_ERROR",
     "REASON_QUEUE_FULL",
-    "REASON_SHUTDOWN",
     "REASON_WORKER_CRASH",
     "STATUS_EXPIRED",
     "STATUS_FAILED",
@@ -87,7 +72,6 @@ __all__ = [
     "STATUS_REJECTED",
     "ServeConfig",
     "ServiceReport",
-    "make_dispatch",
     "make_frame_pool",
     "pack_bits_hex",
     "run_loadgen",

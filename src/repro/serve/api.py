@@ -12,6 +12,7 @@ described by ``(code, config)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +35,6 @@ STATUS_FAILED = "failed"
 # -- rejection / drop reasons ------------------------------------------
 REASON_QUEUE_FULL = "queue_full"
 REASON_DEADLINE = "deadline_expired"
-REASON_SHUTDOWN = "shutdown"
 #: A frame the service cannot decode (a NaN or infinite LLR, rejected
 #: at admission; a failed frame check on the byte-stream path).
 REASON_BAD_FRAME = "bad_frame"
@@ -57,13 +57,13 @@ class ServeConfig(DecoderSpec):
     Degradation
     -----------
     ``deadline_ms`` is the default per-request deadline (``None`` means
-    no deadline).  The iteration-budget controller runs every batch with
-    the full ``max_iterations`` while the queue is below
-    ``shed_start`` × capacity and sheds linearly down to
-    ``min_iterations`` as the queue fills — the paper's §2.2 observation
-    that the zigzag schedule "saves about 10 iterations" turned into a
-    live load-shedding knob (fewer iterations per frame = more frames
-    per second, at a graceful BER cost).
+    no deadline; a set one must be finite).  The iteration-budget
+    controller runs every batch with the full ``max_iterations`` while
+    the queue is below ``shed_start`` × capacity and sheds linearly
+    down to ``min_iterations`` as the queue fills — the paper's §2.2
+    observation that the zigzag schedule "saves about 10 iterations"
+    turned into a live load-shedding knob (fewer iterations per frame =
+    more frames per second, at a graceful BER cost).
 
     Decoder
     -------
@@ -87,16 +87,18 @@ class ServeConfig(DecoderSpec):
     Pipelining
     ----------
     ``pipeline_depth`` bounds how many micro-batches the engine keeps
-    in flight on the pooled path: while batch ``k`` decodes in a
-    worker, batch ``k+1``'s LLR prep and batch ``k+2``'s formation
-    proceed on the submitting side, and completions are drained
-    non-blocking — the software mirror of the paper's double-buffered
-    I/O RAM (the core decodes frame ``k`` while frame ``k+1`` streams
-    in).  The pump never waits for the pool: with ``pipeline_depth``
-    batches in flight, due batches stay queued until one lands.
-    ``None`` (the default) resolves to 1 for the inline path and
-    ``2 * workers`` for the pooled path; any depth produces results
-    bit-identical to depth 1 — only wall-clock overlap changes.
+    in flight on each worker lane (the pooled service's one lane, each
+    fabric worker's): while batch ``k`` decodes in a worker, batch
+    ``k+1``'s LLR prep and batch ``k+2``'s formation proceed on the
+    submitting side, and completions are drained non-blocking — the
+    software mirror of the paper's double-buffered I/O RAM (the core
+    decodes frame ``k`` while frame ``k+1`` streams in).  The pump
+    never waits for the pool: with ``pipeline_depth`` batches in
+    flight, due batches stay queued until one lands.  ``None`` (the
+    default) resolves to 1 for the inline path and two per worker
+    process on a lane (``2 * workers`` pooled, 2 per fabric worker);
+    any depth produces results bit-identical to depth 1 — only
+    wall-clock overlap changes.
     ``pipeline_depth > 1`` with ``workers == 1`` promotes the single
     worker to a dedicated child process so host-side prep and
     completion genuinely overlap its decode.
@@ -110,8 +112,8 @@ class ServeConfig(DecoderSpec):
     min_iterations: int = 10
     shed_start: float = 0.5
     workers: int = 1
-    #: Max micro-batches in flight on the pooled path (``None`` = auto:
-    #: 1 inline, ``2 * workers`` pooled); see *Pipelining* above.
+    #: Max micro-batches in flight per worker lane (``None`` = auto:
+    #: 1 inline, 2 per worker process); see *Pipelining* above.
     pipeline_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -122,8 +124,12 @@ class ServeConfig(DecoderSpec):
             raise ValueError("max_linger_ms must be non-negative")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be positive")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive when set")
+        if self.deadline_ms is not None and not (
+            0 < self.deadline_ms < math.inf
+        ):
+            raise ValueError(
+                "deadline_ms must be positive and finite when set"
+            )
         if not 0 < self.min_iterations <= self.max_iterations:
             raise ValueError(
                 "need 0 < min_iterations <= max_iterations"
@@ -156,10 +162,6 @@ class DecodeRequest:
     arrival_s: float
     #: Absolute deadline on the service clock, or ``None``.
     deadline_s: Optional[float] = None
-    #: Opaque client identity for affinity dispatch (the distributed
-    #: fabric's consistent-hash policy pins a client's frames to one
-    #: worker); ``None`` means no affinity.
-    client: Optional[str] = None
     #: MODCOD label of the frame (e.g. ``"1/2:bpsk:normal"``) for
     #: per-MODCOD accounting on the ACM path; a single-config service
     #: serves one code, so ``None`` means "the service's only config".

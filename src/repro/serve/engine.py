@@ -5,13 +5,12 @@ single-threaded event pump over an injected clock:
 
 * ``submit`` admits a frame into the bounded admission queue of its
   *route* — the code that decodes it: one route for a single-code
-  service, one per MODCOD label on the mixed plane — or, under the
-  hash dispatch policy, into a queue pinned to its client's worker
-  lane.  Admission turns the frame into what the decoder reads: the
-  fixed-point integers of a quantized schedule (``int8`` for the 6-bit
-  format, quantized once, here), float64 LLRs otherwise.  A frame with
-  a NaN or infinite LLR, or one that finds its queue full, is rejected
-  with a typed reason (backpressure, never unbounded growth);
+  service, one per MODCOD label on the mixed plane.  Admission turns
+  the frame into what the decoder reads: the fixed-point integers of a
+  quantized schedule (``int8`` for the 6-bit format, quantized once,
+  here), float64 LLRs otherwise.  A frame with a NaN or infinite LLR,
+  or one that finds its queue full, is rejected with a typed reason
+  (backpressure, never unbounded growth);
 * ``pump`` is the event step: fold finished batches in, expire overdue
   frames, form every due micro-batch (fill-or-timeout, see
   :class:`~repro.serve.batcher.MicroBatcher`) and decode it;
@@ -24,10 +23,12 @@ manual clock — the property the batcher/shedding tests lean on.
 
 Executors: without worker lanes the pump decodes inline.  Otherwise
 each :class:`Lane` is a :class:`~repro.sim.pool.PersistentPool` with an
-in-flight window, picked per batch by the dispatch policy
-(:mod:`repro.serve.dispatch`): a pooled service (``workers > 1``) is
-one N-process lane, the distributed fabric
-(:class:`~repro.serve.fabric.DecodeFabric`) is N one-process lanes.
+in-flight window, and a ready batch goes to the lane with the fewest
+frames in flight among those with window room (lowest index on ties):
+a pooled service (``workers > 1``) is one N-process lane, the
+distributed fabric (:class:`~repro.serve.fabric.DecodeFabric`) is N
+one-process lanes.  Every worker holds the same decoders, so the
+choice of lane never changes a result.
 Workers host decoders, not services: a batch goes out as ``(route,
 frames, budgets)`` — the admitted frames stacked by the parent into one
 ``(frames, n)`` array, ``int8`` for the 6-bit format (n bytes a frame,
@@ -36,7 +37,8 @@ iterations)``; the parent records every metric.  Batches complete
 strictly in batch-sequence order, so results and metrics are
 deterministic for any lane count.
 
-Pipelining: up to ``window`` batches stay in flight per lane, so batch
+Pipelining: up to ``pipeline_depth`` batches (by default two per
+process, :func:`lane_window`) stay in flight per lane, so batch
 ``k+1``'s formation and LLR prep overlap batch ``k``'s decode — the
 software analogue of the paper's double-buffered I/O RAM, where the
 core decodes one frame while the next streams in.  The pump never
@@ -70,6 +72,7 @@ finally a full queue rejects at the door.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
@@ -100,7 +103,6 @@ from .api import (
     ServeConfig,
 )
 from .batcher import MicroBatcher
-from .dispatch import DispatchPolicy, make_dispatch
 from .policy import IterationBudgetController
 from .queue import BoundedRequestQueue
 
@@ -198,6 +200,14 @@ class Route:
     decoder: object = None
 
 
+def lane_window(config: ServeConfig, processes: int) -> int:
+    """Max batches in flight on a lane of ``processes`` worker
+    processes: ``config.pipeline_depth`` when set, else two per
+    process (one decoding, one queued behind it)."""
+    depth = config.pipeline_depth
+    return depth if depth is not None else 2 * processes
+
+
 @dataclass
 class Lane:
     """One worker lane: a pool, its in-flight window, its metrics view."""
@@ -208,7 +218,7 @@ class Lane:
     #: Where the decode-side metrics of this lane's batches land.
     registry: MetricsRegistry
     batches: int = 0  #: batches in flight
-    frames: int = 0  #: frames in flight (the least-loaded input)
+    frames: int = 0  #: frames in flight (the lane choice's input)
 
 
 class DecodeService:
@@ -253,7 +263,7 @@ class DecodeService:
             trace=trace, clock=clock, pool=pool,
         )
         #: The admission queue (the CLI's file mode paces on it).
-        self.queue = self._queues[None, None]
+        self.queue = self._queues[None]
         #: The pool behind the worker lane (``None`` when inline).
         self._pool = self._lanes[0].pool if self._lanes else None
 
@@ -267,7 +277,6 @@ class DecodeService:
         clock,
         lanes: Optional[List[Lane]] = None,
         pool: Optional[PersistentPool] = None,
-        dispatch: Optional[DispatchPolicy] = None,
     ) -> None:
         """Set the pump up over ``routes`` and worker ``lanes`` (no
         lanes = inline decode).  Without explicit lanes a pooled config
@@ -294,11 +303,8 @@ class DecodeService:
         self._owned_pools = [
             lane.pool for lane in lanes if lane.pool is not pool
         ]
-        self.dispatch = dispatch or make_dispatch(
-            "least-loaded", max(1, len(lanes))
-        )
-        #: (route key, pinned lane or None) -> admission queue.
-        self._queues: Dict[tuple, BoundedRequestQueue] = {}
+        #: Route key -> admission queue.
+        self._queues: Dict[Optional[str], BoundedRequestQueue] = {}
         self._routes: Dict[Optional[str], Route] = {}
         for key, route in routes.items():
             self._add_route(key, route)
@@ -320,12 +326,10 @@ class DecodeService:
         self._completed: List[DecodeResult] = []
         #: EWMA of seconds per batch iteration (deadline budgeting).
         self._iter_cost_s: Optional[float] = None
-        #: External queue-pressure hint (see :meth:`set_load_hint`).
-        self._load_hint = 0.0
         self._closed = False
 
     def _add_route(self, key: Optional[str], route: Route) -> None:
-        """Register a route and its shared admission queue; on the
+        """Register a route and its admission queue; on the
         inline path, build its decoder now.  A ``segments`` count the
         route's code cannot take raises here, before any worker builds
         a decoder."""
@@ -334,7 +338,7 @@ class DecodeService:
         if not self._lanes:
             route.decoder = self._spec.build(route.code)
         self._routes[key] = route
-        self._queues[key, None] = BoundedRequestQueue(
+        self._queues[key] = BoundedRequestQueue(
             self._serve.queue_capacity
         )
 
@@ -348,7 +352,6 @@ class DecodeService:
         deadline_s: Optional[float] = None,
         now: Optional[float] = None,
         modcod: Optional[str] = None,
-        client: Optional[str] = None,
     ) -> int:
         """Admit one frame of channel LLRs; returns its request id.
 
@@ -358,14 +361,14 @@ class DecodeService:
         or infinite LLR, :data:`~repro.serve.api.REASON_QUEUE_FULL`)
         arrives via :meth:`poll` after a :meth:`pump` — a rejected
         request completes immediately.  ``deadline_s`` is an
-        absolute service-clock deadline overriding the config default;
-        ``now`` overrides the clock (loadgen backdates arrivals to the
+        absolute service-clock deadline overriding the config default
+        (a NaN or infinite one raises ``ValueError``); ``now``
+        overrides the clock (loadgen backdates arrivals to the
         scheduled offered-rate instants, so queueing delay includes
         time the pump spent decoding).  ``modcod`` labels the frame for
         per-MODCOD accounting (``serve.modcod.<label>.*`` counters) and
         is echoed on the result; it selects the route when one is
-        registered under that label.  ``client`` is the affinity key
-        of the hash dispatch policy.
+        registered under that label.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -375,6 +378,8 @@ class DecodeService:
             llrs = np.asarray(llrs, dtype=np.float64)
             if llrs.shape != (route.code.n,):
                 raise ValueError(f"expected shape ({route.code.n},) LLRs")
+            if deadline_s is not None and not math.isfinite(deadline_s):
+                raise ValueError(f"deadline must be finite, got {deadline_s}")
             try:
                 frame = self._admit(llrs)
             except ValueError:  # a NaN or infinite LLR
@@ -389,7 +394,6 @@ class DecodeService:
                 llrs=frame,
                 arrival_s=now,
                 deadline_s=deadline_s,
-                client=client,
                 modcod=modcod,
             )
             views = self._views(route)
@@ -402,13 +406,7 @@ class DecodeService:
                     request, views, STATUS_REJECTED, REASON_BAD_FRAME, now
                 )
                 return request_id
-            pin = self.dispatch.route(request)
-            queue = self._queues.get((key, pin))
-            if queue is None:
-                queue = self._queues[key, pin] = BoundedRequestQueue(
-                    self._serve.queue_capacity
-                )
-            if not queue.offer(request):
+            if not self._queues[key].offer(request):
                 self._drop(
                     request, views, STATUS_REJECTED, REASON_QUEUE_FULL, now
                 )
@@ -459,19 +457,6 @@ class DecodeService:
         out = self._completed
         self._completed = []
         return out
-
-    def set_load_hint(self, fill: float) -> None:
-        """Install an external queue-pressure signal in ``[0, 1]``.
-
-        A front-end that queues work ahead of this service can forward
-        its own fill; the iteration-budget controller sheds on the
-        *maximum* of the admission queues' fill and the hint, so
-        standalone behaviour is unchanged (the hint defaults to 0).
-        """
-        if not 0.0 <= fill:
-            raise ValueError("load hint must be non-negative")
-        self._load_hint = float(fill)
-        self.registry.gauge("serve.load_hint").set(round(fill, 4))
 
     def flush(self, now: Optional[float] = None) -> None:
         """Decode everything queued (ignoring linger) and wait for it.
@@ -576,7 +561,7 @@ class DecodeService:
 
     def _expire(self, now: float) -> None:
         with self.registry.timer("serve.stage.expire"):
-            for (key, _pin), queue in self._queues.items():
+            for key, queue in self._queues.items():
                 views = self._views(self._routes[key])
                 for request in queue.expire(now):
                     self._drop(
@@ -591,32 +576,31 @@ class DecodeService:
             if lane.batches == 0 and lane.pool.broken:
                 lane.pool.respawn()
 
-    def _free_lane(self, pin: Optional[int]) -> Optional[int]:
-        """The lane for a batch from a queue pinned to ``pin`` (any
-        lane when ``None``), or ``None`` while no such lane has room."""
-        lanes = self._lanes
-        if pin is not None:
-            return pin if lanes[pin].batches < lanes[pin].window else None
-        eligible = [
-            i for i, lane in enumerate(lanes) if lane.batches < lane.window
+    def _free_lane(self) -> Optional[int]:
+        """The lane for the next batch: the fewest frames in flight
+        among the lanes with window room, lowest index on ties (so the
+        choice is a pure function of the schedule), or ``None`` while
+        every window is full."""
+        free = [
+            (lane.frames, index)
+            for index, lane in enumerate(self._lanes)
+            if lane.batches < lane.window
         ]
-        if not eligible:
-            return None
-        return self.dispatch.select([lane.frames for lane in lanes], eligible)
+        return min(free)[1] if free else None
 
     def _dispatch_due(self, now: float, *, force: bool) -> int:
         """Form and decode every due batch (``force`` ignores the
         linger: the flush path).  On lanes a batch waits queued while
-        no lane it may use has window room."""
+        every lane's window is full."""
         dispatched = 0
-        for (key, pin), queue in self._queues.items():
+        for key, queue in self._queues.items():
             while len(queue) and (force or self.batcher.due(queue, now)):
                 if not self._lanes:
                     self._decode_inline(key, queue, now)
                     now = self.clock()
                     self._expire(now)
                 else:
-                    index = self._free_lane(pin)
+                    index = self._free_lane()
                     if index is None:
                         break
                     self._send(key, queue, index, now)
@@ -647,11 +631,11 @@ class DecodeService:
         for i, request in enumerate(requests):
             if request.deadline_s is None:
                 continue
-            affordable = int(
-                (request.deadline_s - now) / self._iter_cost_s
-            )
+            # Compared as a float: a far deadline's quotient may be
+            # infinite, which ``int`` cannot take.
+            affordable = (request.deadline_s - now) / self._iter_cost_s
             if affordable < batch_budget:
-                budgets[i] = max(1, affordable)
+                budgets[i] = int(max(1.0, affordable))
                 capped += 1
         if not capped:
             return batch_budget, 0
@@ -660,9 +644,7 @@ class DecodeService:
     def _form_batch(self, queue: BoundedRequestQueue, now: float):
         """Take one batch off ``queue`` and prep it for decode."""
         with self.registry.timer("serve.stage.batch_form"):
-            fill = max(
-                max(q.fill for q in self._queues.values()), self._load_hint
-            )
+            fill = max(q.fill for q in self._queues.values())
             batch_budget = self.controller.budget(fill)
             requests = self.batcher.take(queue)
             self.registry.gauge("serve.queue.depth").set(self._depth())
@@ -911,11 +893,11 @@ def _pool_lanes(
     ``workers > 1`` or ``pipeline_depth > 1``) unless it runs serially.
 
     ``pipeline_depth > 1`` with a single worker still wants a real
-    child process — otherwise there is nothing to overlap with.  The
-    window defaults to ``2 * workers``.
+    child process — otherwise there is nothing to overlap with.
     """
-    depth = config.pipeline_depth
-    if pool is None and (config.workers > 1 or (depth or 1) > 1):
+    if pool is None and (
+        config.workers > 1 or (config.pipeline_depth or 1) > 1
+    ):
         pool = PersistentPool(
             config.workers,
             label="serve engine",
@@ -925,5 +907,4 @@ def _pool_lanes(
         )
     if pool is None or pool.serial:
         return []
-    window = depth if depth is not None else 2 * config.workers
-    return [Lane(pool, window, registry)]
+    return [Lane(pool, lane_window(config, config.workers), registry)]

@@ -7,15 +7,15 @@ results, same metric names, deterministic accounting.  The layout
 mirrors the paper's hardware decomposition — one admission stage
 feeding parallel functional units — lifted to processes:
 
-* the **pump** (this process) owns admission: a shared bounded queue
-  plus, under the hash policy, one queue pinned to each worker, the
+* the **pump** (this process) owns admission: one bounded queue, the
   fill-or-timeout micro-batcher, deadline expiry while queued, and
   rejection at the door;
 * each **worker** is a dedicated child process (a one-worker
-  :class:`~repro.sim.pool.PersistentPool`) holding a decoder;
-* a ready micro-batch ("chunk") travels to a worker chosen by the
-  dispatch policy (:mod:`repro.serve.dispatch`) among those with window
-  room, is decoded there, and comes back as bits.  The pump records
+  :class:`~repro.sim.pool.PersistentPool`) holding the same decoder as
+  every other worker;
+* a ready micro-batch ("chunk") travels to the worker with the fewest
+  frames in flight among those with window room (lowest index on
+  ties), is decoded there, and comes back as bits.  The pump records
   the chunk's decode-side metrics in that worker's view, so
   :meth:`DecodeFabric.merged_snapshot` has a ``fabric`` admission view
   plus one ``worker<i>`` view per worker.
@@ -28,8 +28,8 @@ the worker (``pool.worker_restart``) and redrives the chunk to it
 crashes; a chunk that crashes its worker a fourth time fails its own
 frames and nothing else.
 
-Determinism: chunks complete in dispatch-sequence order, the dispatch
-policies are pure functions of the request schedule, and each chunk
+Determinism: chunks complete in dispatch-sequence order, the worker
+choice is a pure function of the request schedule, and each chunk
 decodes as one batch with the composition the pump formed — so with
 shedding neutral the decoded bits are identical to the single-service
 path for any worker count.
@@ -48,49 +48,29 @@ from ..obs.registry import MetricsRegistry, get_registry, merge_snapshots
 from ..obs.trace import TraceRecorder
 from ..sim.pool import PersistentPool
 from .api import ServeConfig
-from .dispatch import DISPATCH_POLICIES, make_dispatch
-from .engine import DecodeService, Lane, Route
+from .engine import DecodeService, Lane, Route, lane_window
 from .report import ServiceReport
 
 
 @dataclass
 class FabricConfig:
-    """Shape of the fabric: worker count, dispatch, flow control.
+    """Shape of the fabric: its worker count and its serve config.
 
-    ``window`` bounds in-flight chunks per worker (1 = lockstep,
-    2 = one decoding + one queued, the default — enough to hide the
-    round-trip without letting any worker hoard the backlog).  When the
-    embedded serve config asks for a deeper pipeline
-    (``serve.pipeline_depth > window``) the fabric widens each worker's
-    window to match: the pump preps and ships chunk ``k+1`` while the
-    worker decodes chunk ``k``, exactly like the pooled service.
-    ``dispatch`` names a policy from
-    :data:`~repro.serve.dispatch.DISPATCH_POLICIES`; ``hash_replicas``
-    sizes the consistent-hash ring.  All batching/degradation/decoder
-    knobs stay in the embedded :class:`~repro.serve.api.ServeConfig`
-    (its ``workers`` field is not used here — the fabric's processes
-    are its ``workers`` one-process lanes).
+    All batching/degradation/decoder knobs stay in the embedded
+    :class:`~repro.serve.api.ServeConfig`.  Its ``pipeline_depth``
+    bounds the chunks in flight per worker as it bounds a pooled
+    lane's batches (unset: 2 — one decoding, one queued, enough to hide
+    the round-trip without letting any worker hoard the backlog); its
+    ``workers`` field is not used here — the fabric's processes are its
+    ``workers`` one-process lanes.
     """
 
     workers: int = 2
-    dispatch: str = "least-loaded"
-    window: int = 2
-    hash_replicas: int = 64
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.window < 1:
-            raise ValueError("window must be positive")
-        if self.hash_replicas < 1:
-            raise ValueError("hash_replicas must be positive")
-        if self.dispatch not in DISPATCH_POLICIES:
-            available = ", ".join(sorted(DISPATCH_POLICIES))
-            raise ValueError(
-                f"unknown dispatch policy {self.dispatch!r} "
-                f"(available: {available})"
-            )
 
 
 class DecodeFabric(DecodeService):
@@ -125,8 +105,6 @@ class DecodeFabric(DecodeService):
         self.config = config if config is not None else FabricConfig()
         serve = self.config.serve
         registry = registry if registry is not None else get_registry()
-        #: Effective per-worker in-flight chunk bound (see FabricConfig).
-        self.window = max(self.config.window, serve.pipeline_depth or 0)
         pools = [
             PersistentPool(
                 1,
@@ -140,20 +118,13 @@ class DecodeFabric(DecodeService):
         #: One registry per worker: the ``worker<i>`` views.
         self._worker_registries = [MetricsRegistry() for _ in pools]
         lanes = [
-            Lane(pool, self.window, reg)
+            Lane(pool, lane_window(serve, 1), reg)
             for pool, reg in zip(pools, self._worker_registries)
             if not pool.serial
         ]
-        kwargs = (
-            {"replicas": self.config.hash_replicas}
-            if self.config.dispatch == "hash" else {}
-        )
         self._init_pump(
             serve, {None: Route(code)},
             registry=registry, trace=trace, clock=clock, lanes=lanes,
-            dispatch=make_dispatch(
-                self.config.dispatch, self.config.workers, **kwargs
-            ),
         )
         # Fork the workers now (each builds its decoder), so the first
         # chunk does not pay for it and every worker is a chaos target.

@@ -12,17 +12,19 @@ line** in each direction (newline-delimited, UTF-8).  Requests:
 ``{"op": "decode", "id": <any>, "llrs": [...], ...}``
     Decode one frame.  ``llrs`` is either a JSON list of floats or —
     cheaper on the wire — ``llrs_f32``: little-endian ``float32`` bytes
-    hex-encoded.  Optional ``deadline_ms`` (relative, propagated as an
-    absolute fabric deadline) and ``client`` (affinity key for hash
-    dispatch).  The response echoes ``id`` and carries ``status``
+    hex-encoded.  Optional ``deadline_ms`` (relative, finite,
+    propagated as an absolute fabric deadline); other fields are
+    ignored.  The response echoes ``id`` and carries ``status``
     (``ok`` / ``rejected`` / ``expired`` / ``failed``, the last three
     with a ``reason``), packed codeword bits as hex
     (``bits``, via ``np.packbits``) plus ``n`` for exact unpacking,
     ``iterations``, ``converged`` and ``latency_ms``.
 
-A request line may be as long as the longest valid decode request for
-the fabric's code length, so full 64800-LLR frames fit.  A longer line
-gets ``{"ok": false, "error": ...}`` and only its connection is closed.
+A request that is not a JSON object, names no known op or carries a
+bad field gets ``{"ok": false, "error": ...}`` and the connection stays
+open.  A request line may be as long as the longest valid decode
+request for the fabric's code length, so full 64800-LLR frames fit.  A
+longer line gets the same error and only its connection is closed.
 
 Flow control is per connection: at most ``window`` decodes may be in
 flight per client; when a client hits its window the gateway simply
@@ -63,7 +65,7 @@ _IDLE_TICK_S = 0.02
 #: in a JSON list ("-2.2250738585072014e-308", 24 characters) plus its
 #: ", " separator.  ``llrs_f32`` needs only 8 hex characters per LLR.
 _LLR_TEXT_MAX = 26
-#: Room for the rest of a request line (op, id, deadline, client):
+#: Room for the rest of a request line (op, id, deadline):
 #: asyncio's default line limit, which every short request fits.
 _ENVELOPE_BYTES = 64 * 1024
 
@@ -146,7 +148,6 @@ class FabricGateway:
         self._pump_task: Optional[asyncio.Task] = None
         #: fabric request id -> (connection, client correlation id).
         self._routes: Dict[int, Tuple[_Connection, object]] = {}
-        self._connections = 0
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -234,8 +235,6 @@ class FabricGateway:
         writer: asyncio.StreamWriter,
     ) -> None:
         conn = _Connection(writer)
-        self._connections += 1
-        client_tag = f"conn{self._connections}"
         try:
             while True:
                 # Backpressure: a client at its window is not read from
@@ -258,7 +257,7 @@ class FabricGateway:
                     break
                 if not line:
                     break
-                await self._handle_line(conn, client_tag, line, writer)
+                await self._handle_line(conn, line, writer)
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -273,19 +272,19 @@ class FabricGateway:
     async def _handle_line(
         self,
         conn: _Connection,
-        client_tag: str,
         line: bytes,
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
             message = json.loads(line)
+            if not isinstance(message, dict):
+                raise ValueError("request must be a JSON object")
             op = message.get("op")
             if op == "ping":
                 writer.write(_encode({
                     "ok": True,
                     "op": "ping",
                     "workers": self.fabric.config.workers,
-                    "dispatch": self.fabric.config.dispatch,
                 }))
                 return
             if op == "stats":
@@ -303,10 +302,7 @@ class FabricGateway:
             if message.get("deadline_ms") is not None:
                 deadline_s = now + float(message["deadline_ms"]) / 1e3
             request_id = self.fabric.submit(
-                llrs,
-                deadline_s=deadline_s,
-                now=now,
-                client=message.get("client", client_tag),
+                llrs, deadline_s=deadline_s, now=now
             )
             conn.inflight += 1
             self._routes[request_id] = (conn, message.get("id"))
@@ -375,7 +371,6 @@ class FabricClient:
         *,
         correlation=None,
         deadline_ms: Optional[float] = None,
-        client: Optional[str] = None,
     ) -> None:
         """Pipeline one decode; blocks only when the window is full."""
         while self.inflight >= self.window:
@@ -387,8 +382,6 @@ class FabricClient:
         }
         if deadline_ms is not None:
             message["deadline_ms"] = deadline_ms
-        if client is not None:
-            message["client"] = client
         self._send(message)
         self.inflight += 1
 
@@ -427,7 +420,6 @@ def run_remote_loadgen(
     duration_s: float,
     window: int = 64,
     deadline_ms: Optional[float] = None,
-    clients: int = 0,
     timeout_s: float = 60.0,
 ) -> dict:
     """Closed-loop load generation against a *running* gateway.
@@ -486,7 +478,6 @@ def run_remote_loadgen(
                 frame_pool.llrs[i % len(frame_pool)],
                 correlation=i,
                 deadline_ms=deadline_ms,
-                client=f"client{i % clients}" if clients > 0 else None,
             )
         client.drain()
         wall = time.monotonic() - start

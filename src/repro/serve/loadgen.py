@@ -126,7 +126,6 @@ def run_loadgen(
     clock: Callable[[], float] = time.monotonic,
     sleep: Optional[Callable[[float], None]] = None,
     fabric: Optional[FabricConfig] = None,
-    clients: int = 0,
 ) -> LoadgenResult:
     """Offer ``offered_fps`` frames/s for ``duration_s`` and report.
 
@@ -142,8 +141,7 @@ def run_loadgen(
     :class:`~repro.serve.fabric.DecodeFabric` instead of the in-process
     service; the serve knobs still come from ``config`` (``fabric``'s
     embedded serve config is replaced) and the returned snapshot is the
-    cross-worker merge.  ``clients`` > 0 stamps arrivals with a
-    rotating client identity so affinity dispatch gets exercised.
+    cross-worker merge.
     """
     if offered_fps <= 0:
         raise ValueError("offered_fps must be positive")
@@ -198,13 +196,7 @@ def run_loadgen(
                 if scheduled > now:
                     break
                 idx = submitted % len(frame_pool)
-                rid = service.submit(
-                    frame_pool.llrs[idx],
-                    now=scheduled,
-                    client=(
-                        f"client{submitted % clients}" if clients else None
-                    ),
-                )
+                rid = service.submit(frame_pool.llrs[idx], now=scheduled)
                 frame_of[rid] = idx
                 submitted += 1
             service.pump(now)
@@ -255,7 +247,6 @@ def sweep_offered_rates(
     publisher: Optional[SnapshotPublisher] = None,
     progress: Optional[Callable[[LoadgenResult], None]] = None,
     fabric: Optional[FabricConfig] = None,
-    clients: int = 0,
 ) -> List[LoadgenResult]:
     """Run one loadgen pass per offered rate (shared frame pool).
 
@@ -279,7 +270,6 @@ def sweep_offered_rates(
             trace=trace,
             publisher=publisher,
             fabric=fabric,
-            clients=clients,
         )
         results.append(result)
         if progress is not None:

@@ -182,10 +182,10 @@ class PersistentPool:
       the run: :meth:`respawn` replaces the broken executor with
       freshly initialized workers under the *same* configuration key,
       records a ``pool.worker_restart`` counter plus a
-      ``pool_worker_restart`` trace event, and :meth:`submit` /
-      :meth:`map_ordered` respawn automatically when they find the
-      executor broken (callers holding failed futures redrive those
-      tasks themselves — the pool cannot know which results were lost);
+      ``pool_worker_restart`` trace event, and :meth:`submit` respawns
+      automatically when it finds the executor broken (callers holding
+      failed futures redrive those tasks themselves — the pool cannot
+      know which results were lost);
     * the pool is a context manager; :meth:`shutdown` is idempotent.
     """
 
@@ -216,9 +216,6 @@ class PersistentPool:
         self.registry = registry
         self.trace = trace
         self.restarts = 0
-        #: Futures submitted but not yet finished (see :attr:`inflight`).
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Dup of the call queue's read end (crash-teardown insurance).
         self._drain_fd: Optional[int] = None
@@ -338,31 +335,6 @@ class PersistentPool:
             self.respawn()
         return self._require_executor()
 
-    @property
-    def inflight(self) -> int:
-        """Tasks submitted via :meth:`submit` and not yet done.
-
-        The pipelined serve pump reads this non-blocking occupancy
-        signal to tell a busy pool from an idle one without touching
-        any future.  Serial submits resolve inside :meth:`submit`, so
-        the count is 0 between calls on the inline path; tasks routed
-        through :meth:`map_ordered` are not tracked.
-        """
-        with self._inflight_lock:
-            return self._inflight
-
-    def _task_done(self, _future: Future) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-
-    def _track(self, future: Future) -> Future:
-        with self._inflight_lock:
-            self._inflight += 1
-        # A future that is already done runs the callback immediately,
-        # keeping the serial path's count balanced at zero.
-        future.add_done_callback(self._task_done)
-        return future
-
     def submit(self, fn: Callable, *args) -> Future:
         """Submit one task; inline (already-done future) when serial."""
         if self.serial:
@@ -371,21 +343,13 @@ class PersistentPool:
                 future.set_result(fn(*args))
             except BaseException as exc:  # noqa: BLE001 - future carries it
                 future.set_exception(exc)
-            return self._track(future)
+            return future
         try:
-            return self._track(self._submit_executor().submit(fn, *args))
+            return self._submit_executor().submit(fn, *args)
         except BrokenExecutor:
             # Broke between the check and the submit: one more respawn.
             self.respawn()
-            return self._track(
-                self._require_executor().submit(fn, *args)
-            )
-
-    def map_ordered(self, fn: Callable, tasks: Sequence) -> list:
-        """Run ``fn`` over ``tasks``, results in task order."""
-        if self.serial:
-            return [fn(task) for task in tasks]
-        return list(self._submit_executor().map(fn, tasks))
+            return self._require_executor().submit(fn, *args)
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:

@@ -215,12 +215,9 @@ def test_bad_recipe_is_one_error_line(capsys, command, bad):
     "argv",
     [
         ["fabric", "--fabric-workers", "0"],
-        ["fabric", "--fabric-window", "0"],
-        ["fabric", "--hash-replicas", "0"],
         ["loadgen", "--fabric-workers", "0", "--duration", "0.05"],
     ],
-    ids=["fabric-workers", "fabric-window", "hash-replicas",
-         "loadgen-fabric-workers"],
+    ids=["fabric-workers", "loadgen-fabric-workers"],
 )
 def test_bad_fabric_setting_is_one_error_line(capsys, argv):
     """A fabric setting FabricConfig rejects is one line and exit code
@@ -229,6 +226,16 @@ def test_bad_fabric_setting_is_one_error_line(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_non_finite_deadline_is_one_error_line(capsys):
+    """``--deadline-ms inf`` is refused by the serve config before any
+    frame is decoded, not by a traceback out of the pump."""
+    code = main(["loadgen", "--parallelism", "12", "--duration", "0.05",
+                 "--deadline-ms", "inf"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "finite" in err
 
 
 def test_anneal_small(capsys):

@@ -139,7 +139,6 @@ class TestGatewayProtocol:
             ) as client:
                 pong = client.ping()
                 assert pong["ok"] and pong["workers"] == 2
-                assert pong["dispatch"] == "least-loaded"
                 for i in range(len(frames)):
                     client.decode(frames.llrs[i], correlation=i)
                 client.drain()
@@ -157,11 +156,13 @@ class TestGatewayProtocol:
     def test_json_llrs_and_client_affinity_fields(
         self, code_half_tiny, frames
     ):
+        """JSON ``llrs`` decode bit-identically; an older client's
+        ``client`` affinity field is accepted and ignored."""
         config = _calm_config()
         expected = _reference_bits(code_half_tiny, config, frames)
         fabric = DecodeFabric(
             code_half_tiny,
-            FabricConfig(workers=2, dispatch="hash", serve=config),
+            FabricConfig(workers=2, serve=config),
             registry=MetricsRegistry(),
         )
         with _GatewayHarness(fabric) as server:
@@ -196,6 +197,62 @@ class TestGatewayProtocol:
                 assert not bad_shape["ok"]
                 # The connection survives the errors.
                 assert client.ping()["ok"]
+
+    def test_non_object_json_gets_typed_error(self):
+        """JSON that is not an object is answered like any malformed
+        request, and the connection stays open."""
+        with _GatewayHarness(_StubFabric(100)) as server:
+            with _RawConnection(server.port) as conn:
+                for line in (b"[1, 2]", b"5", b'"x"'):
+                    assert conn.request(line) == {
+                        "ok": False,
+                        "error": "request must be a JSON object",
+                    }
+                assert conn.request(b'{"op": "ping"}')["ok"]
+
+    def test_non_finite_deadline_gets_typed_error_and_pump_lives(
+        self, code_half_tiny, frames
+    ):
+        """``1e400`` (read as inf) and ``NaN`` deadlines are refused at
+        the door, after a decoded batch has primed the per-iteration
+        cost; the pump keeps serving every connection."""
+        config = _calm_config()
+        expected = _reference_bits(code_half_tiny, config, frames)
+        fabric = DecodeFabric(
+            code_half_tiny,
+            FabricConfig(workers=1, serve=config),
+            registry=MetricsRegistry(),
+        )
+        hex_llrs = frames.llrs[0].astype("<f4").tobytes().hex()
+        got = {}
+        with _GatewayHarness(fabric) as server:
+            with FabricClient(
+                "127.0.0.1", server.port, timeout_s=10.0,
+                on_response=lambda r: got.__setitem__(r["id"], r),
+            ) as client:
+                client.decode(frames.llrs[0], correlation="warm")
+                client.drain()
+            with _RawConnection(server.port) as conn:
+                for deadline in (b"1e400", b"NaN"):
+                    response = conn.request(
+                        b'{"op": "decode", "id": 1, "deadline_ms": '
+                        + deadline + b', "llrs_f32": "'
+                        + hex_llrs.encode() + b'"}'
+                    )
+                    assert response["ok"] is False
+                    assert "finite" in response["error"]
+            with FabricClient(
+                "127.0.0.1", server.port, timeout_s=10.0,
+                on_response=lambda r: got.__setitem__(r["id"], r),
+            ) as client:
+                client.decode(frames.llrs[1], correlation="after")
+                client.drain()
+        assert got["warm"]["status"] == "ok"
+        assert got["after"]["status"] == "ok"
+        assert np.array_equal(
+            unpack_bits_hex(got["after"]["bits"], code_half_tiny.n),
+            expected[1],
+        )
 
     def test_non_finite_frame_answered_as_rejected(
         self, code_half_tiny, frames
@@ -253,13 +310,36 @@ class TestGatewayProtocol:
         assert seen.count("ok") == 10
 
 
+class _RawConnection:
+    """One socket to the gateway that sends lines exactly as given."""
+
+    def __init__(self, port: int) -> None:
+        self._sock = socket.create_connection(
+            ("127.0.0.1", port), timeout=10.0
+        )
+        self._stream = self._sock.makefile("rwb")
+
+    def request(self, line: bytes) -> dict:
+        self._stream.write(line + b"\n")
+        self._stream.flush()
+        return json.loads(self._stream.readline())
+
+    def __enter__(self) -> "_RawConnection":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._stream.close()
+        self._sock.close()
+        return False
+
+
 class _StubFabric:
     """Just enough fabric for the gateway: records each submission and
     completes it at once with all-zero bits."""
 
     def __init__(self, n: int) -> None:
         self.code = SimpleNamespace(n=n)
-        self.config = SimpleNamespace(workers=1, dispatch="least-loaded")
+        self.config = SimpleNamespace(workers=1)
         self.submitted = []
         self._pending = []
         self._done = []
@@ -267,7 +347,7 @@ class _StubFabric:
     def clock(self) -> float:
         return time.monotonic()
 
-    def submit(self, llrs, *, deadline_s=None, now=None, client=None):
+    def submit(self, llrs, *, deadline_s=None, now=None):
         request_id = len(self.submitted)
         self.submitted.append(llrs)
         self._done.append(SimpleNamespace(
@@ -376,7 +456,6 @@ class TestServeFabricEntrypoint:
             offered_fps=120.0,
             duration_s=1.0,
             window=16,
-            clients=4,
         )
         server.join(timeout=30.0)
         assert not server.is_alive()

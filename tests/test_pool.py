@@ -50,10 +50,6 @@ class TestSerialFallback:
             pool.configure(_init, ("inline",), key="a")
             assert pool.submit(_tagged, 1).result() == ("inline", 1)
 
-    def test_map_ordered(self):
-        with PersistentPool(1) as pool:
-            assert pool.map_ordered(_double, [1, 2, 3]) == [2, 4, 6]
-
 
 class TestWarmReuse:
     def test_same_key_keeps_executor(self):

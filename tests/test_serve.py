@@ -762,6 +762,39 @@ class TestDeadlineBudgets:
         assert result.status == STATUS_OK
         assert result.iteration_budget == 30
 
+    def test_far_deadline_decodes_at_full_budget(self, code_half,
+                                                  frames_half):
+        """A deadline whose iteration count overflows an int (1e308 s
+        at 10 ms/iteration) caps nothing and does not stop the pump."""
+        svc = _service(code_half, ManualClock(), max_iterations=30,
+                       max_linger_ms=0.0)
+        svc._iter_cost_s = 0.010
+        svc.submit(frames_half.llrs[0], deadline_s=1e308)
+        svc.pump()
+        (result,) = svc.poll()
+        offline = make_batch_decoder(
+            code_half, schedule="quantized-zigzag", normalization=0.75
+        ).decode_batch(frames_half.llrs[:1], max_iterations=30)
+        assert result.status == STATUS_OK
+        assert result.iterations == int(offline.iterations[0])
+        np.testing.assert_array_equal(result.bits, offline.bits[0])
+
+    @pytest.mark.parametrize("deadline", [np.inf, -np.inf, np.nan])
+    def test_non_finite_deadline_refused_at_submit(
+        self, code_half, frames_half, deadline
+    ):
+        svc = _service(code_half, ManualClock())
+        with pytest.raises(ValueError, match="finite"):
+            svc.submit(frames_half.llrs[0], deadline_s=deadline)
+        assert svc.poll() == []
+        counters = svc.registry.snapshot()["counters"]
+        assert "serve.requests.submitted" not in counters
+
+    @pytest.mark.parametrize("deadline_ms", [np.inf, np.nan])
+    def test_config_refuses_non_finite_deadline(self, deadline_ms):
+        with pytest.raises(ValueError, match="finite"):
+            ServeConfig(deadline_ms=deadline_ms)
+
 
 class TestMetricsMergeAcrossProcesses:
     def test_pooled_metrics_match_inline_counts(self, code_half,

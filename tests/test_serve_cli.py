@@ -146,7 +146,7 @@ def test_loadgen_fabric_plane_merges_workers(capsys, tmp_path):
         "loadgen", "--offered-fps", "150",
         "--duration", "0.15", "--ebn0", "3.5",
         "--max-batch", "8", "--max-linger-ms", "2",
-        "--fabric-workers", "2", "--dispatch", "least-loaded",
+        "--fabric-workers", "2",
         "--metrics-out", str(metrics),
     ])
     out = capsys.readouterr().out
