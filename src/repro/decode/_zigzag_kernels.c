@@ -19,37 +19,56 @@
  * pointers; without that the compiler gives up on the alias run-time
  * checks and leaves the lane loops scalar.
  *
- * One iteration is three sweeps over the checks:
+ * One iteration walks the checks once, in tiles of whole segments
+ * (at most CHECK_TILE checks; a longer segment is a tile of its own),
+ * and runs three passes over each tile before the next one starts:
  *   - pass A, the VN phase and the check min scan, two slabs (info
  *     slots) per sweep;
  *   - the check pass, one linear pass in the paper's zigzag order:
  *     the forward message rides in registers from check to check and
- *     straight into the next check, only the backward messages b are
- *     stored (in place), and the parity decision of check c is emitted
- *     at check c+1, once b[c+1] is known;
+ *     straight into the next check (and from tile to tile), only the
+ *     backward messages b are stored (in place), and the parity
+ *     decision of check c is emitted at check c+1, once b[c+1] is
+ *     known;
  *   - pass C, the output blend and posterior scatter-add, two slabs
  *     per sweep.
+ * So the tile's check state (8 rows of at most 256 x 32 bytes, 64 KB)
+ * stays in cache from pass A to pass C, as the paper's core keeps its
+ * checks' state in the functional units, instead of 8 rows per check
+ * of the whole code (8.3 MB on the 64800-bit code) making a round trip
+ * through L3 between three whole sweeps.  Pass A reads only the last
+ * iteration's decisions: the int8 posterior mirror is refreshed after
+ * the last tile, and the parity decisions are double-buffered.  The
+ * stop test runs after the last tile's pass A, once the syndrome is
+ * whole; an iteration that ends every live budget runs pass A alone.
  * Pairing two slabs halves the passes over the check state; visiting
  * all slabs of a check at once loses each slab's VN locality and was
  * measured 2.5x slower, so do not go past pairs without a paired A/B.
- * Where a 32-frame call of the served decoder (6-bit, alpha 0.75, 30
- * iterations, early stop) spends its time, in ms (2-CPU Intel Xeon
- * host, GCC 12 -march=native; medians of 12 alternating calls on
- * identical input; "before" is the lane-loop check pass this one
- * replaced):
+ * Where a 32-frame decode_batch of the served decoder (6-bit, alpha
+ * 0.75, 30-iteration budget, early stop) spends its time, in ms (2-CPU
+ * Intel Xeon host, GCC 12 -march=native; timers around each pass,
+ * medians of 12-20 alternating calls on identical input; "before" is
+ * the kernel of three whole sweeps):
  *
- *   code (iterations run)       call          pass A  check         pass C
- *   64800-bit 1/2, 3 dB (30)    95 -> 78      28      26.5 -> 10.0  29
- *   P=36 1/4 (30)               6.44 -> 3.92  1.05    4.08 -> 1.44  0.78
- *   P=36 1/2 (30)               6.34 -> 4.56  1.48    2.73 -> 0.97  1.29
- *   P=36 3/4 (8)                1.62 -> 1.34  0.40    0.37 -> 0.13  0.37
+ *   code (iterations run)     call          pass A       check        pass C
+ *   64800-bit 1/2, 3 dB (11)  36.6 -> 31.0  10.9 -> 7.8  3.76 -> 3.99 10.4 -> 7.6
+ *   P=36 1/4 (9)              1.90 -> 2.02  0.36 -> 0.35 0.45 -> 0.51 0.24 -> 0.31
+ *   P=36 1/2 (10)             2.15 -> 2.19  0.50 -> 0.47 0.33 -> 0.36 0.44 -> 0.49
+ *   P=36 3/4 (6)              1.58 -> 1.67  0.31 -> 0.32 0.10 -> 0.11 0.29 -> 0.35
  *
- * The rest of the full-code call is the per-iteration posterior reset
- * and clip (6.7), lane bookkeeping (2.9) and the input load (1.7).
- * The P=36 codes run at acm-mixed's operating points (threshold +
- * 1 dB), where the check pass was 23-63 % of a call and is now 10-38 %.
- * The workspace is 20.8 MB on the full code.  docs/backends.md has
- * the measurements and the exactness argument in full.
+ * The rest of a call (quantization, the input load, the per-iteration
+ * posterior reset and clip, lane bookkeeping) did not move: 11.6 ms on
+ * the full code, 0.84-0.89 ms on the P=36 codes.  With every lane
+ * running 30 iterations (early stop off) the full-code call went from
+ * 85.6 to 65.1 ms, about 2.55 -> 1.89 ms per iteration.  The P=36
+ * codes, whose whole check state (0.4-1.2 MB) already fitted in L2,
+ * gain nothing, and a block that stops wastes the check side of the
+ * tiles before the last: uninstrumented they read 0.98x, 1.01x and
+ * 0.95x.  They run at acm-mixed's operating points (threshold +
+ * 1 dB).  The workspace is 13.5 MB on the full code (20.8 MB with
+ * three sweeps): the eight check-state arrays hold one tile, and one
+ * n_par-row decision buffer is added.  docs/backends.md has the
+ * measurements and the exactness argument in full.
  *
  * The kernel runs on the calling thread.  Parallelism comes from the
  * worker processes above it (the Monte-Carlo shards, the serve pool and
@@ -113,7 +132,12 @@
 
 /* Rows per tile of the input transpose: a tile's 32 source runs and
  * its lane-minor destination (8 KB each) stay in L1 together. */
-#define TILE 256
+#define LOAD_TILE 256
+
+/* Checks per tile of the iteration: whole segments, as many as fit in
+ * CHECK_TILE checks (a longer segment is a tile of its own).  A tile's
+ * eight check-state rows then take 8 * 256 * 32 bytes = 64 KB. */
+#define CHECK_TILE 256
 
 typedef struct {
     int16_t *posts;  /* (k, LANES) wide info posteriors */
@@ -124,21 +148,22 @@ typedef struct {
                       * row stays 0 */
     int8_t *fend_a;  /* (seg, LANES) last forward message of each */
     int8_t *fend_b;  /* segment (double buffer) */
-    int8_t *min1;    /* (n_par, LANES) check state from pass A */
+    int8_t *min1;    /* (tile, LANES) one tile's check state from pass A */
     int8_t *min2;
     int8_t *am;      /* argmin slab index */
     uint8_t *par;    /* check parity sign */
     uint8_t *synd;
-    int8_t *lo1;     /* (n_par, LANES) output magnitudes for pass C */
+    int8_t *lo1;     /* (tile, LANES) output magnitudes for pass C */
     int8_t *lo2;
     uint8_t *chain;  /* output sign of the parity chain */
-    uint8_t *pb;     /* (n_par, LANES) parity-bit decisions, after one
-                      * guard row that stays 0 */
+    uint8_t *pb_a;   /* (n_par, LANES) parity-bit decisions, each after */
+    uint8_t *pb_b;   /* one guard row that stays 0 (double buffer) */
     void *base;      /* the malloc'd block, for free() */
 } workspace;
 
 static int ws_alloc(
-    workspace *w, int64_t k, int64_t n_par, int64_t e_in, int64_t seg)
+    workspace *w, int64_t k, int64_t n_par, int64_t e_in, int64_t seg,
+    int64_t tile)
 {
     const int64_t L = LANES;
     int64_t bytes =
@@ -146,8 +171,9 @@ static int ws_alloc(
         (k + n_par) * L +               /* ch */
         e_in * L +                      /* c2v */
         seg * L * 2 +                   /* fend_a, fend_b */
-        n_par * L * 8 +                 /* check state, pass C inputs */
-        (n_par + 1) * L * 2;            /* b, pb (one extra row each) */
+        tile * L * 8 +                  /* check state, pass C inputs */
+        (n_par + 1) * L * 3;            /* b, pb_a, pb_b (one extra row
+                                         * each) */
     /* Fields start at the first 64-byte boundary of the block: posts
      * comes first, so its 64-byte rows sit on cache lines, and every
      * later field is a whole number of 32-byte lane rows, so no row
@@ -168,17 +194,19 @@ static int ws_alloc(
     TAKE(b, int8_t, n_par + 1)
     TAKE(fend_a, int8_t, seg)
     TAKE(fend_b, int8_t, seg)
-    TAKE(min1, int8_t, n_par)
-    TAKE(min2, int8_t, n_par)
-    TAKE(am, int8_t, n_par)
-    TAKE(par, uint8_t, n_par)
-    TAKE(synd, uint8_t, n_par)
-    TAKE(lo1, int8_t, n_par)
-    TAKE(lo2, int8_t, n_par)
-    TAKE(chain, uint8_t, n_par)
-    TAKE(pb, uint8_t, n_par + 1)
+    TAKE(min1, int8_t, tile)
+    TAKE(min2, int8_t, tile)
+    TAKE(am, int8_t, tile)
+    TAKE(par, uint8_t, tile)
+    TAKE(synd, uint8_t, tile)
+    TAKE(lo1, int8_t, tile)
+    TAKE(lo2, int8_t, tile)
+    TAKE(chain, uint8_t, tile)
+    TAKE(pb_a, uint8_t, n_par + 1)
+    TAKE(pb_b, uint8_t, n_par + 1)
 #undef TAKE
-    w->pb += L;
+    w->pb_a += L;
+    w->pb_b += L;
     return 1;
 }
 
@@ -206,11 +234,15 @@ static inline void scan_lane(
     *am = lt ? t : *am;
 }
 
-/* Pass A, slab 0 alone: used when the width is odd.  Each check
- * starts from min1 = min2 = mi, argmin 0 and parity 0 — slab 0 then
- * sets min1 = |v2c| and keeps min2 = mi and argmin = 0, as a first
- * slab must — and from the IRA syndrome of the previous decision's
- * parity bits, pb[c] ^ pb[c-1] (the guard row makes pb[-1] = 0). */
+/* Pass A over the nc checks of one tile.  Every pointer starts at the
+ * tile's first check, and the check state rows are the tile's own.
+ *
+ * Slab 0 alone: used when the width is odd.  Each check starts from
+ * min1 = min2 = mi, argmin 0 and parity 0 — slab 0 then sets min1 =
+ * |v2c| and keeps min2 = mi and argmin = 0, as a first slab must —
+ * and from the IRA syndrome of the previous iteration's parity
+ * decisions, pb[c] ^ pb[c-1] (pb[-1] is the previous tile's last row,
+ * or before the first tile a guard row that stays 0). */
 static void vn_pass_first(
     const int32_t *restrict vn,
     const int8_t *restrict posts8,
@@ -221,9 +253,9 @@ static void vn_pass_first(
     uint8_t *restrict par,
     uint8_t *restrict synd,
     const uint8_t *restrict pb,
-    int64_t n_par, int8_t mi)
+    int64_t nc, int8_t mi)
 {
-    for (int64_t c = 0; c < n_par; c++) {
+    for (int64_t c = 0; c < nc; c++) {
         const int8_t *pr = posts8 + (int64_t)vn[c] * LANES;
         const int8_t *cv = c2v + c * LANES;
         const uint8_t *pbc = pb + c * LANES;
@@ -256,9 +288,9 @@ static void vn_pass_first_pair(
     uint8_t *restrict par,
     uint8_t *restrict synd,
     const uint8_t *restrict pb,
-    int64_t n_par, int8_t mi)
+    int64_t nc, int8_t mi)
 {
-    for (int64_t c = 0; c < n_par; c++) {
+    for (int64_t c = 0; c < nc; c++) {
         const int8_t *pr0 = posts8 + (int64_t)vn0[c] * LANES;
         const int8_t *pr1 = posts8 + (int64_t)vn1[c] * LANES;
         const int8_t *cv0 = c2v0 + c * LANES;
@@ -292,10 +324,10 @@ static void vn_pass_pair(
     int8_t *restrict am,
     uint8_t *restrict par,
     uint8_t *restrict synd,
-    int64_t n_par, int8_t mi, int8_t t)
+    int64_t nc, int8_t mi, int8_t t)
 {
     const int8_t t1 = (int8_t)(t + 1);
-    for (int64_t c = 0; c < n_par; c++) {
+    for (int64_t c = 0; c < nc; c++) {
         const int8_t *pr0 = posts8 + (int64_t)vn0[c] * LANES;
         const int8_t *pr1 = posts8 + (int64_t)vn1[c] * LANES;
         const int8_t *cv0 = c2v0 + c * LANES;
@@ -315,12 +347,11 @@ static void vn_pass_pair(
     }
 }
 
-/* OR-reduce the per-check syndrome columns into one flag per lane. */
+/* OR one tile's per-check syndrome columns into one flag per lane. */
 static void synd_reduce(
-    const uint8_t *restrict synd, int64_t n_par, uint8_t *restrict bad)
+    const uint8_t *restrict synd, int64_t nc, uint8_t *restrict bad)
 {
-    for (int f = 0; f < LANES; f++) bad[f] = 0;
-    for (int64_t c = 0; c < n_par; c++) {
+    for (int64_t c = 0; c < nc; c++) {
         const uint8_t *sy = synd + c * LANES;
         for (int f = 0; f < LANES; f++)
             bad[f] |= sy[f];
@@ -450,25 +481,33 @@ static inline v8 lut_norm(normlut t, v8 m)
 }
 #endif
 
-/* The check side of one iteration: one linear pass over the checks,
- * the paper's forward/backward zigzag schedule.  Per check c:
+/* The check side of one tile: one linear pass over its nseg segments
+ * of q checks, the paper's forward/backward zigzag schedule.  Per
+ * check c:
  *
  *   c_in = clip(chp + b[c+1], +-mi)        b[c+1] still from the last
  *                                          iteration (check c+1 writes
- *                                          it later; b[n_par] is 0)
+ *                                          it later, in this tile or
+ *                                          the next; b[n_par] is 0)
  *   f    = sign * min(n1, norm|a|)         a = forward chain input,
  *                                          carried in registers
  *   b[c] = sign * min(n1, norm|c_in|)      updated in place
  *   lo1, lo2, chain                        pass C's output blend
  *   pb[c-1] = (chp + f)[c-1] + b[c] < 0    parity decision, one late
  *
- * Each segment's forward chain starts at mi (segment 0) or from the
- * previous iteration's forward message at the end of the segment
- * before it, which is all of the last iteration's f that the scan
- * reads — so only those seg rows are stored, double-buffered.  The
- * carried chp + f lies within +-2*mi; it starts at mi so the decision
- * "emitted" at check 0 into the guard row pb[-1] is always 0.  The
- * last check's decision is chp + f alone.
+ * chp, b and pb start at the tile's first check, fend_old and fend_new
+ * at its first segment; min1 to chain are the tile's own rows.  Each
+ * segment's forward chain starts at mi (segment 0 of the code, where
+ * first is set) or from the previous iteration's forward message at
+ * the end of the segment before it, which is all of the last
+ * iteration's f that the scan reads — so only those seg rows are
+ * stored, double-buffered.  The carried chp + f lies within +-2*mi and
+ * passes from tile to tile through carry.  The caller starts it at mi
+ * each iteration, so the decision "emitted" at check 0 into the guard
+ * row pb[-1] is always 0.
+ * The tile's last decision is written as chp + f alone, which is
+ * final at the code's last check (b[n_par] is 0); anywhere else the
+ * next tile's first check overwrites it.
  *
  * Every step is a whole-row vector operation: the lanes' chains are
  * independent, and the NV vectors of a row are worked on side by side
@@ -487,19 +526,19 @@ static void check_pass(
     int8_t *restrict lo2,
     uint8_t *restrict chain,
     uint8_t *restrict pb,
-    int64_t n_par, int64_t seg, int8_t mi, normlut nt)
+    int8_t *restrict carry,
+    int64_t nseg, int64_t q, int first, int8_t mi, normlut nt)
 {
-    const int64_t q = n_par / seg;
     const v8 vmi = vsplat(mi), vnmi = vsplat((int8_t)-mi);
     const v8 zero = vsplat(0);
     v8 a[NV];   /* forward chain input of the current check */
     v8 cf[NV];  /* chp + f of the previous check */
     for (int h = 0; h < NV; h++)
-        cf[h] = vmi;
-    for (int64_t s = 0; s < seg; s++) {
+        cf[h] = vload(carry + h * VW);
+    for (int64_t s = 0; s < nseg; s++) {
         const int64_t base = s * q;
         for (int h = 0; h < NV; h++)
-            a[h] = s == 0 ? vmi : vclip(
+            a[h] = first && s == 0 ? vmi : vclip(
                 vload(chp + (base - 1) * LANES + h * VW) +
                 vload(fend_old + (s - 1) * LANES + h * VW), vnmi, vmi);
         for (int64_t c = base; c < base + q; c++) {
@@ -530,8 +569,10 @@ static void check_pass(
             vstore(fend_new + s * LANES + h * VW,
                    cf[h] - vload(chp + (base + q - 1) * LANES + h * VW));
     }
-    for (int h = 0; h < NV; h++)
-        vstore(pb + (n_par - 1) * LANES + h * VW, -(v8)(cf[h] < zero));
+    for (int h = 0; h < NV; h++) {
+        vstore(pb + (nseg * q - 1) * LANES + h * VW, -(v8)(cf[h] < zero));
+        vstore(carry + h * VW, cf[h]);
+    }
 }
 
 /* One lane of one slab in pass C: the output blend c2v = sign *
@@ -546,9 +587,11 @@ static inline int8_t output_lane(
     return (chn ^ vneg) ? (int8_t)-bmag : bmag;
 }
 
-/* Pass C, one slab: output blend + wide decision scatter-add.  Scatter
- * rows are shared across lanes, so the inner loop is still a
- * contiguous vector add.  Used for slab 0 when the width is odd. */
+/* Pass C over the nc checks of one tile, pointers as in pass A.
+ *
+ * One slab: output blend + wide decision scatter-add.  Scatter rows
+ * are shared across lanes, so the inner loop is still a contiguous
+ * vector add.  Used for slab 0 when the width is odd. */
 static void output_pass_slab(
     const int32_t *restrict vn,
     const int8_t *restrict posts8,
@@ -558,9 +601,9 @@ static void output_pass_slab(
     const int8_t *restrict am,
     const uint8_t *restrict chain,
     int16_t *restrict posts,
-    int64_t n_par)
+    int64_t nc)
 {
-    for (int64_t c = 0; c < n_par; c++) {
+    for (int64_t c = 0; c < nc; c++) {
         const int8_t *pr8 = posts8 + (int64_t)vn[c] * LANES;
         int8_t *cv = c2v + c * LANES;
         const int8_t *l1 = lo1 + c * LANES;
@@ -592,10 +635,10 @@ static void output_pass_pair(
     const int8_t *restrict am,
     const uint8_t *restrict chain,
     int16_t *restrict posts,
-    int64_t n_par, int8_t t)
+    int64_t nc, int8_t t)
 {
     const int8_t t1 = (int8_t)(t + 1);
-    for (int64_t c = 0; c < n_par; c++) {
+    for (int64_t c = 0; c < nc; c++) {
         const int8_t *pr80 = posts8 + (int64_t)vn0[c] * LANES;
         const int8_t *pr81 = posts8 + (int64_t)vn1[c] * LANES;
         int8_t *cv0 = c2v0 + c * LANES;
@@ -643,7 +686,7 @@ static void clip_posts(
 }
 
 /* Lane-minor transpose of one block's (frames, n) channel rows in
- * tiles of TILE rows; dead lanes duplicate frame f0 (valid data,
+ * tiles of LOAD_TILE rows; dead lanes duplicate frame f0 (valid data,
  * never extracted). */
 static void load_block(
     const int8_t *ch, int64_t frames, int64_t f0, int64_t n,
@@ -652,8 +695,8 @@ static void load_block(
     const int8_t *src[LANES];
     for (int f = 0; f < LANES; f++)
         src[f] = ch + (f0 + f < frames ? f0 + f : f0) * n;
-    for (int64_t v0 = 0; v0 < n; v0 += TILE) {
-        const int64_t v1 = v0 + TILE < n ? v0 + TILE : n;
+    for (int64_t v0 = 0; v0 < n; v0 += LOAD_TILE) {
+        const int64_t v1 = v0 + LOAD_TILE < n ? v0 + LOAD_TILE : n;
         for (int f = 0; f < LANES; f++) {
             const int8_t *s = src[f];
             for (int64_t v = v0; v < v1; v++)
@@ -662,15 +705,16 @@ static void load_block(
     }
 }
 
-/* Copy one finished lane's decisions out to its (frames, n) bits row. */
+/* Copy one finished lane's decisions out to its (frames, n) bits row:
+ * info from posts8, parity from the last iteration's pb. */
 static void extract_lane(
-    const workspace *w, int lane, int64_t k, int64_t n_par,
-    uint8_t *brow)
+    const workspace *w, const uint8_t *pb, int lane, int64_t k,
+    int64_t n_par, uint8_t *brow)
 {
     for (int64_t v = 0; v < k; v++)
         brow[v] = w->posts8[v * LANES + lane] < 0;
     for (int64_t c = 0; c < n_par; c++)
-        brow[k + c] = w->pb[c * LANES + lane];
+        brow[k + c] = pb[c * LANES + lane];
 }
 
 /* ------------------------------------------------------------------ */
@@ -718,8 +762,11 @@ void zigzag_decode(
     const normlut nt = lut_make(tab, (int16_t)mult, (int)shift);
     /* Slabs of pass A's first sweep and of pass C's lone sweep. */
     const int lead = (width & 1) ? 1 : 2;
+    /* Checks per segment, and segments per tile. */
+    const int64_t q = n_par / seg;
+    const int64_t tseg = q >= CHECK_TILE ? 1 : CHECK_TILE / q;
     workspace w;
-    const int have_ws = ws_alloc(&w, k, n_par, e_in, seg);
+    const int have_ws = ws_alloc(&w, k, n_par, e_in, seg, tseg * q);
 
     for (int64_t blk = 0; blk < n_blocks; blk++) {
         /* Tested here, not by an early return before the loop: GCC 12
@@ -737,8 +784,11 @@ void zigzag_decode(
         load_block(ch, frames, f0, n, w.ch);
         reset_posts(w.ch, w.posts, k);
         clip_posts(w.posts, w.posts8, k, 2 * imi);
+        /* Parity decisions: pass A and the lane extraction read the
+         * last iteration's (pb_old), the check pass writes pb_new. */
+        uint8_t *pb_old = w.pb_a, *pb_new = w.pb_b;
         for (int64_t i = 0; i < n_par * LANES; i++)
-            w.pb[i] = chp[i] < 0;
+            pb_old[i] = chp[i] < 0;
         for (int f = 0; f < LANES; f++) {
             if (f0 + f < frames) {
                 done[f] = 0;
@@ -752,78 +802,110 @@ void zigzag_decode(
                 bud[f] = 0;
             }
         }
-        memset(w.pb - LANES, 0, LANES);
+        memset(pb_old - LANES, 0, LANES);
+        memset(pb_new - LANES, 0, LANES);
         memset(w.c2v, 0, (size_t)(e_in * LANES));
         memset(w.fend_a, 0, (size_t)(seg * LANES));
         memset(w.b, 0, (size_t)((n_par + 1) * LANES));
         int8_t *fend_old = w.fend_a, *fend_new = w.fend_b;
 
         for (int64_t it = 1; alive && it <= blockmax + 1; it++) {
-            /* Pass A: VN phase fused with the check min scan and
-             * the IRA syndrome of the *previous* decision. */
-            if (lead == 1)
-                vn_pass_first(in_vn, w.posts8, w.c2v, w.min1, w.min2,
-                              w.am, w.par, w.synd, w.pb, n_par, imi);
-            else
-                vn_pass_first_pair(
-                    in_vn, in_vn + n_par, w.posts8, w.c2v,
-                    w.c2v + n_par * LANES, w.min1, w.min2, w.am,
-                    w.par, w.synd, w.pb, n_par, imi);
-            for (int t = lead; t < (int)width; t += 2)
-                vn_pass_pair(
-                    in_vn + (int64_t)t * n_par,
-                    in_vn + (int64_t)(t + 1) * n_par, w.posts8,
-                    w.c2v + (int64_t)t * n_par * LANES,
-                    w.c2v + (int64_t)(t + 1) * n_par * LANES,
-                    w.min1, w.min2, w.am, w.par, w.synd,
-                    n_par, imi, (int8_t)t);
+            /* An iteration that ends every live lane's budget needs
+             * pass A alone, for the early-stop syndrome. */
+            int ending = 1;
+            for (int f = 0; f < LANES; f++)
+                if (!done[f] && it <= bud[f]) ending = 0;
+            uint8_t bad[LANES];
+            int8_t carry[LANES];  /* check pass: chp + f, tile to tile */
+            memset(bad, 0, LANES);
+            memset(carry, imi, LANES);
+            /* Nothing reads posts before pass C. */
+            if (!ending) reset_posts(w.ch, w.posts, k);
 
-            /* Lane bookkeeping: converged lanes first (the golden
-             * model's in-loop check), then exhausted budgets. */
-            if (early_stop) {
-                uint8_t bad[LANES];
-                synd_reduce(w.synd, n_par, bad);
-                for (int f = 0; f < LANES; f++) {
-                    if (!done[f] && !bad[f]) {
-                        extract_lane(&w, f, k, n_par,
-                                     bits + (f0 + f) * n);
-                        iterations[f0 + f] = it - 1;
-                        converged[f0 + f] = 1;
-                        done[f] = 1;
-                        alive--;
+            /* One walk over the checks, a tile at a time: pass A,
+             * then the check pass, then pass C, so the tile's check
+             * state stays in cache between them. */
+            for (int64_t s0 = 0; s0 < seg; s0 += tseg) {
+                const int64_t nseg = s0 + tseg < seg ? tseg : seg - s0;
+                const int64_t c0 = s0 * q, nc = nseg * q;
+                const int32_t *vn = in_vn + c0;
+                int8_t *cv = w.c2v + c0 * LANES;
+
+                /* Pass A: VN phase fused with the check min scan and
+                 * the IRA syndrome of the last iteration's decision. */
+                if (lead == 1)
+                    vn_pass_first(vn, w.posts8, cv, w.min1, w.min2,
+                                  w.am, w.par, w.synd,
+                                  pb_old + c0 * LANES, nc, imi);
+                else
+                    vn_pass_first_pair(
+                        vn, vn + n_par, w.posts8, cv,
+                        cv + n_par * LANES, w.min1, w.min2, w.am,
+                        w.par, w.synd, pb_old + c0 * LANES, nc, imi);
+                for (int t = lead; t < (int)width; t += 2)
+                    vn_pass_pair(
+                        vn + (int64_t)t * n_par,
+                        vn + (int64_t)(t + 1) * n_par, w.posts8,
+                        cv + (int64_t)t * n_par * LANES,
+                        cv + (int64_t)(t + 1) * n_par * LANES,
+                        w.min1, w.min2, w.am, w.par, w.synd,
+                        nc, imi, (int8_t)t);
+                if (early_stop)
+                    synd_reduce(w.synd, nc, bad);
+
+                /* Lane bookkeeping, once the last tile completes the
+                 * syndrome: converged lanes first (the golden model's
+                 * in-loop check), then exhausted budgets. */
+                if (s0 + nseg == seg) {
+                    if (early_stop) {
+                        for (int f = 0; f < LANES; f++) {
+                            if (!done[f] && !bad[f]) {
+                                extract_lane(&w, pb_old, f, k, n_par,
+                                             bits + (f0 + f) * n);
+                                iterations[f0 + f] = it - 1;
+                                converged[f0 + f] = 1;
+                                done[f] = 1;
+                                alive--;
+                            }
+                        }
                     }
+                    for (int f = 0; f < LANES; f++) {
+                        if (!done[f] && it > bud[f]) {
+                            extract_lane(&w, pb_old, f, k, n_par,
+                                         bits + (f0 + f) * n);
+                            iterations[f0 + f] = bud[f];
+                            done[f] = 1;
+                            alive--;
+                        }
+                    }
+                    if (!alive) break;
                 }
-            }
-            for (int f = 0; f < LANES; f++) {
-                if (!done[f] && it > bud[f]) {
-                    extract_lane(&w, f, k, n_par,
-                                 bits + (f0 + f) * n);
-                    iterations[f0 + f] = bud[f];
-                    done[f] = 1;
-                    alive--;
-                }
+                if (ending) continue;
+
+                check_pass(chp + c0 * LANES, w.min1, w.min2, w.par,
+                           fend_old + s0 * LANES, fend_new + s0 * LANES,
+                           w.b + c0 * LANES, w.lo1, w.lo2, w.chain,
+                           pb_new + c0 * LANES, carry, nseg, q, s0 == 0,
+                           imi, nt);
+
+                /* Pass C: output blend and posterior scatter-add. */
+                if (lead == 1)
+                    output_pass_slab(vn, w.posts8, cv, w.lo1, w.lo2,
+                                     w.am, w.chain, w.posts, nc);
+                for (int t = 2 - lead; t < (int)width; t += 2)
+                    output_pass_pair(
+                        vn + (int64_t)t * n_par,
+                        vn + (int64_t)(t + 1) * n_par, w.posts8,
+                        cv + (int64_t)t * n_par * LANES,
+                        cv + (int64_t)(t + 1) * n_par * LANES,
+                        w.lo1, w.lo2, w.am, w.chain, w.posts,
+                        nc, (int8_t)t);
             }
             if (!alive) break;
-
-            check_pass(chp, w.min1, w.min2, w.par, fend_old, fend_new,
-                       w.b, w.lo1, w.lo2, w.chain, w.pb,
-                       n_par, seg, imi, nt);
-
-            reset_posts(w.ch, w.posts, k);
-            if (lead == 1)
-                output_pass_slab(in_vn, w.posts8, w.c2v, w.lo1, w.lo2,
-                                 w.am, w.chain, w.posts, n_par);
-            for (int t = 2 - lead; t < (int)width; t += 2)
-                output_pass_pair(
-                    in_vn + (int64_t)t * n_par,
-                    in_vn + (int64_t)(t + 1) * n_par, w.posts8,
-                    w.c2v + (int64_t)t * n_par * LANES,
-                    w.c2v + (int64_t)(t + 1) * n_par * LANES,
-                    w.lo1, w.lo2, w.am, w.chain, w.posts,
-                    n_par, (int8_t)t);
             clip_posts(w.posts, w.posts8, k, 2 * imi);
 
             { int8_t *tmp = fend_old; fend_old = fend_new; fend_new = tmp; }
+            { uint8_t *tmp = pb_old; pb_old = pb_new; pb_new = tmp; }
             for (int f = 0; f < LANES; f++)
                 if (!done[f]) iterations[f0 + f] = it;
         }
@@ -833,7 +915,7 @@ void zigzag_decode(
          * decisions here. */
         for (int f = 0; f < LANES; f++)
             if (!done[f])
-                extract_lane(&w, f, k, n_par, bits + (f0 + f) * n);
+                extract_lane(&w, pb_old, f, k, n_par, bits + (f0 + f) * n);
     }
 
     if (have_ws)

@@ -162,23 +162,28 @@ class FabricGateway:
         )
 
     async def stop(self) -> None:
-        """Stop accepting, finish in-flight work, close the fabric."""
+        """Stop accepting, finish in-flight work, close the fabric.
+
+        A pump task that died with an error re-raises it here, after
+        the fabric (and so every worker process) is closed."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-            self._pump_task = None
-        # Flush inside the loop's executor-free context is fine: the
-        # fabric blocks on its own worker futures, not the loop.
-        self.fabric.flush()
-        self._route_completions()
-        self.fabric.close()
+        try:
+            if self._pump_task is not None:
+                task, self._pump_task = self._pump_task, None
+                task.cancel()
+                try:
+                    await task
+                except asyncio.CancelledError:
+                    pass
+            # Flush inside the loop's executor-free context is fine:
+            # the fabric blocks on its own worker futures, not the loop.
+            self.fabric.flush()
+            self._route_completions()
+        finally:
+            self.fabric.close()
 
     # ------------------------------------------------------------------
     async def _pump_loop(self) -> None:

@@ -445,6 +445,67 @@ def test_fused_kernel_parity_across_segment_counts(code_half, segments):
         )
 
 
+@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
+@pytest.mark.parametrize("case", ["converge-together", "budgets-end-together"])
+def test_fused_kernel_parity_at_tile_edges(code_half, case):
+    """The kernel walks the checks in tiles (18 on the P=36 rate-1/2
+    code) and tests for a stop after the last tile's pass A, before its
+    check side.  "converge-together": 33 copies of one frame, so every
+    lane of the full block converges in the same iteration, after the
+    tiles before the last ran their check side.  "budgets-end-together":
+    equal budgets with early stop off, so the last iteration ends every
+    live budget and runs pass A alone.  cnative matches numpy bit for
+    bit."""
+    if case == "converge-together":
+        llrs = np.repeat(_frame_batch(code_half, 2.0, 1, seed=8), 33, axis=0)
+        budgets, early_stop = np.full(33, 30), True
+    else:
+        llrs = _frame_batch(code_half, 2.0, 33, seed=9, hopeless=2)
+        budgets, early_stop = np.full(33, 7), False
+    ref = BatchQuantizedZigzagDecoder(code_half, normalization=0.75)
+    dec = BatchQuantizedZigzagDecoder(
+        code_half, normalization=0.75, backend="cnative"
+    )
+    assert dec._fused_plan is not None
+    want = ref.decode_batch(llrs, budgets, early_stop=early_stop)
+    _assert_results_equal(
+        want, dec.decode_batch(llrs, budgets, early_stop=early_stop)
+    )
+    if case == "converge-together":
+        assert want.converged.all()
+        assert len(set(want.iterations)) == 1 and want.iterations[0] > 1
+    else:
+        assert (want.iterations == 7).all()
+
+
+@pytest.fixture(scope="module")
+def code_full_half():
+    from repro.codes import build_code
+
+    return build_code("1/2")
+
+
+@pytest.mark.skipif(not HAVE_CNATIVE, reason="no working C compiler")
+def test_fused_kernel_parity_on_the_full_code(code_full_half):
+    """The 64800-bit rate-1/2 code, whose iteration spans 180 tiles of
+    180 checks: 33 frames at 3.0 dB, where stuck lanes run to their
+    budget, per-frame budgets including 0, early stop on and off.
+    cnative matches numpy bit for bit."""
+    code = code_full_half
+    assert code.n == 64800
+    llrs = _frame_batch(code, 3.0, 33, seed=31, hopeless=1)
+    budgets = np.random.default_rng(31).integers(0, 12, 33)
+    budgets[:2] = (0, 11)
+    ref = BatchQuantizedZigzagDecoder(code)
+    dec = BatchQuantizedZigzagDecoder(code, backend="cnative")
+    assert dec._fused_plan is not None
+    for early_stop in (True, False):
+        _assert_results_equal(
+            ref.decode_batch(llrs, budgets, early_stop=early_stop),
+            dec.decode_batch(llrs, budgets, early_stop=early_stop),
+        )
+
+
 def _is_gcc(cc) -> bool:
     try:
         out = subprocess.run(
@@ -455,11 +516,12 @@ def _is_gcc(cc) -> bool:
     return "Free Software Foundation" in out
 
 
-#: Kernel passes whose per-check lane loop must vectorize: pass A and
-#: pass C.  The check pass is written in whole-row vectors instead.
+#: Kernel functions whose per-check lane loop must vectorize: pass A,
+#: the per-tile syndrome reduce and pass C.  The check pass is written
+#: in whole-row vectors instead.
 _VECTOR_PASSES = (
     "vn_pass_first", "vn_pass_first_pair", "vn_pass_pair",
-    "output_pass_slab", "output_pass_pair",
+    "synd_reduce", "output_pass_slab", "output_pass_pair",
 )
 
 
@@ -470,10 +532,10 @@ _VECTOR_PASSES = (
 )
 def test_kernel_lane_loops_vectorize(tmp_path):
     """Build the kernel as the loader does, plus GCC's vectorizer
-    report: the lane loop inside each pass A and pass C function's
-    per-check loop is vectorized, and none is versioned for possible
-    aliasing (which would put overlap checks and a scalar fallback on
-    the hot path).  The check pass has no per-lane loop left for the
+    report: the lane loop inside the per-check loop of each pass A
+    function, the per-tile syndrome reduce and each pass C function is
+    vectorized, and none is versioned for possible aliasing (which
+    would put overlap checks and a scalar fallback on the hot path).  The check pass has no per-lane loop left for the
     vectorizer to find, and GCC versions none of its code."""
     cmd = _cnative.build_command(
         _cnative._compiler(),

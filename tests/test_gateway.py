@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -308,6 +309,37 @@ class TestGatewayProtocol:
                 client.drain()
                 assert client.inflight == 0
         assert seen.count("ok") == 10
+
+
+class TestGatewayShutdown:
+    def test_stop_after_a_pump_failure_closes_the_fabric(
+        self, code_half_tiny
+    ):
+        """A pump that raises ends the pump task; ``stop()`` re-raises
+        that error only after closing the fabric, so no worker process
+        outlives the gateway."""
+        before = set(multiprocessing.active_children())
+        fabric = DecodeFabric(
+            code_half_tiny,
+            FabricConfig(workers=1, serve=_calm_config()),
+            registry=MetricsRegistry(),
+        )
+        assert set(multiprocessing.active_children()) - before
+
+        def broken_pump(now=None):
+            raise RuntimeError("pump failed")
+
+        fabric.pump = broken_pump
+
+        async def main():
+            gateway = FabricGateway(fabric)
+            await gateway.start()
+            await asyncio.sleep(0.05)  # the pump task runs and dies
+            with pytest.raises(RuntimeError, match="pump failed"):
+                await gateway.stop()
+
+        asyncio.run(main())
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 class _RawConnection:
